@@ -15,7 +15,6 @@ from .cotraining import (
     cotrain,
     keep_count,
     resolve_eps_s,
-    write_cotrain_csv,
 )
 from .data import (
     BlobSpec,
@@ -34,15 +33,10 @@ from .learners import (
     Learner,
     MissingTrueLabelsError,
     OracleLearner,
-    Prediction,
     SoftmaxLearner,
     TrainConfig,
-    checkpoint,
     knn_factory,
-    learner_from_checkpoint,
     oracle_factory,
-    per_sample_loss,
-    predict,
     softmax_factory,
 )
 from .noise import (
@@ -66,7 +60,6 @@ from .selection import (
     ncv,
     selection_metrics,
     selection_result_from_json,
-    write_metrics_csv,
 )
 from .theory import (
     TheoryPoint,
@@ -79,7 +72,6 @@ from .theory import (
     symmetric_accuracy,
     theory_curve,
     theory_point,
-    write_theory_csv,
 )
 
 __version__ = "0.1.0"

@@ -14,13 +14,14 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
-from .cotraining import CoTrainConfig, cotrain, resolve_eps_s, write_cotrain_csv
+from .cotraining import CoTrainConfig, cotrain, resolve_eps_s
 from .learners import (
     DivergenceError,
     KnnLearner,
@@ -37,9 +38,10 @@ from .selection import (
     ncv,
     selection_metrics,
     selection_result_from_json,
-    write_metrics_csv,
 )
-from .theory import theory_curve, theory_point, write_theory_csv
+from .theory import theory_curve, theory_point
+
+THEORY_CSV_HEADER = ["kind", "c", "epsilon", "accuracy", "lp", "lr", "eps_s"]
 
 SIMULATE_CSV_HEADER = [
     "kind", "c", "d", "n", "epsilon",
@@ -105,6 +107,20 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """The one artifact table writer: float cells (numpy included) as %.17g
+    so they round-trip exactly, every other cell as str. A None header
+    writes the rows alone."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row]
+            )
+
+
 # --------------------------------------------------------------------------
 # corrupt
 
@@ -134,23 +150,13 @@ def cmd_theory(args) -> int:
     grid = parse_grid(args.grid)
     out = _out_dir(args)
     points = theory_curve(args.kind, args.classes, grid)
+    rows = [
+        [args.kind, p.c, p.epsilon, p.accuracy, p.lp, p.lr, p.eps_s] for p in points
+    ]
     if args.format == "csv":
-        with open(out / "theory.csv", "w", newline="") as fh:
-            write_theory_csv(fh, args.kind, points)
+        _write_csv(out / "theory.csv", THEORY_CSV_HEADER, rows)
     else:
-        rows = [
-            {
-                "kind": args.kind,
-                "c": args.classes,
-                "epsilon": p.epsilon,
-                "accuracy": p.accuracy,
-                "lp": p.lp,
-                "lr": p.lr,
-                "eps_s": p.eps_s,
-            }
-            for p in points
-        ]
-        _write_json(out / "theory.json", rows)
+        _write_json(out / "theory.json", [dict(zip(THEORY_CSV_HEADER, r)) for r in rows])
     _write_resolved_config(out, args)
     print(f"wrote {len(points)} theory points to {out}")
     return 0
@@ -222,20 +228,15 @@ def cmd_simulate(args) -> int:
 
     rows = [r for r, _ in results]
     if args.format == "csv":
-        with open(out / "simulate.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SIMULATE_CSV_HEADER)
-            for row in rows:
-                writer.writerow(
-                    [row[k] if k in ("kind", "c", "d", "n") else _fmt(row[k]) for k in SIMULATE_CSV_HEADER]
-                )
+        _write_csv(
+            out / "simulate.csv",
+            SIMULATE_CSV_HEADER,
+            ([row[k] for k in SIMULATE_CSV_HEADER] for row in rows),
+        )
     else:
         _write_json(out / "simulate.json", rows)
     for i, (_, M) in enumerate(results):
-        with open(out / f"confusion_{i:03d}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for r in M:
-                writer.writerow([_fmt(v) for v in r])
+        _write_csv(out / f"confusion_{i:03d}.csv", None, M)
     _write_resolved_config(out, args)
     if rows:
         print(
@@ -275,31 +276,40 @@ def _learner_factory(args, D):
 def _run_selection(args, iterations: int, remove_ratio) -> int:
     D = data_mod.load(Path(args.in_dir))
     factory = _learner_factory(args, D)
-    result = incv(
-        D,
-        factory,
-        iterations=iterations,
-        epochs=args.epochs,
-        remove_ratio=remove_ratio,
-        seed=args.seed,
-        noise_kind=args.noise_kind,
-    )
+    # the noise-ratio estimators warn when they clamp; record those
+    # warnings so --strict can escalate them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = incv(
+            D,
+            factory,
+            iterations=iterations,
+            epochs=args.epochs,
+            remove_ratio=remove_ratio,
+            seed=args.seed,
+            noise_kind=args.noise_kind,
+        )
     out = _out_dir(args)
     _write_json(out / "selection.json", result.to_json_dict())
     if D.true_labels is not None and len(result.selected) > 0:
-        metrics = selection_metrics(result.selected, D)
-        with open(out / "metrics.csv", "w", newline="") as fh:
-            write_metrics_csv(fh, out.name, metrics)
+        m = selection_metrics(result.selected, D)
+        rows = [[out.name, "all", m.lp, m.lr, m.eps_s]]
+        rows += [
+            [out.name, i, lp_i, lr_i, 1.0 - lp_i]
+            for i, (lp_i, lr_i) in enumerate(zip(m.lp_i, m.lr_i))
+        ]
+        _write_csv(out / "metrics.csv", ["experiment", "class", "lp", "lr", "eps_s"], rows)
     _write_resolved_config(out, args)
     print(
         f"selected {len(result.selected)} of {D.n} samples; "
         f"estimated noise ratio {_fmt(result.epsilon_hat)}"
     )
+    messages = [str(w.message) for w in caught]
     if result.halt_reason is not None:
-        print(f"warning: {result.halt_reason}", file=sys.stderr)
-        if args.strict:
-            return 1
-    return 0
+        messages.append(result.halt_reason)
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
+    return 1 if messages and args.strict else 0
 
 
 def cmd_ncv(args) -> int:
@@ -354,8 +364,11 @@ def cmd_cotrain(args) -> int:
         S, C, cfg, factory, clean_test=clean_test, eps_s_source=source
     )
     out = _out_dir(args)
-    with open(out / "cotrain.csv", "w", newline="") as fh:
-        write_cotrain_csv(fh, report)
+    _write_csv(
+        out / "cotrain.csv",
+        ["epoch", "n_e", "acc_f1", "acc_f2", "c_samples_used"],
+        ([r.epoch, r.n_e, r.acc_f1, r.acc_f2, r.c_samples_used] for r in report.records),
+    )
     last = report.records[-1]
     _write_json(
         out / "final.json",
@@ -406,17 +419,15 @@ def cmd_report(args) -> int:
         run_path = Path(run)
         if not run_path.is_dir():
             raise UsageError(f"run directory not found: {run}")
-        rows.append((run_path.name, _run_summary(run_path)))
+        rows.append({"run": run_path.name, **_run_summary(run_path)})
     if args.format == "csv":
-        with open(out / "report.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(REPORT_CSV_HEADER)
-            for name, row in rows:
-                writer.writerow([name] + [_fmt(row[k]) for k in REPORT_CSV_HEADER[1:]])
-    else:
-        _write_json(
-            out / "report.json", [{"run": name, **row} for name, row in rows]
+        _write_csv(
+            out / "report.csv",
+            REPORT_CSV_HEADER,
+            ([row[k] for k in REPORT_CSV_HEADER] for row in rows),
         )
+    else:
+        _write_json(out / "report.json", rows)
     _write_resolved_config(out, args)
     print(f"merged {len(rows)} runs into {out}")
     return 0

@@ -9,7 +9,6 @@ each batch is a selected-set batch joined with a candidate-set batch.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -20,8 +19,6 @@ from .data import LabeledDataset
 from .learners import LearnerFactory
 from .selection import selection_metrics
 from .theory import theory_point
-
-COTRAIN_CSV_HEADER = ["epoch", "n_e", "acc_f1", "acc_f2", "c_samples_used"]
 
 # on_batch(epoch, batch_index, batch_ids, kept_by_f1_ids, kept_by_f2_ids)
 BatchHook = Callable[[int, int, np.ndarray, np.ndarray, np.ndarray], None]
@@ -136,9 +133,11 @@ class _CyclingSampler:
 
 
 def _clean_accuracy(learner, D: Optional[LabeledDataset]) -> float:
+    """Test accuracy against the true labels when the test set has them."""
     if D is None:
         return float("nan")
-    return float(np.mean(learner.predict_dataset(D) == D.observed_labels))
+    labels = D.observed_labels if D.true_labels is None else D.true_labels
+    return float(np.mean(learner.predict_dataset(D) == labels))
 
 
 def cotrain(
@@ -216,18 +215,3 @@ def cotrain(
         )
     report = CoTrainReport(records=tuple(records), eps_s=cfg.eps_s, eps_s_source=eps_s_source)
     return f1, f2, report
-
-
-def write_cotrain_csv(stream, report: CoTrainReport) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(COTRAIN_CSV_HEADER)
-    for rec in report.records:
-        writer.writerow(
-            [
-                rec.epoch,
-                rec.n_e,
-                "%.17g" % rec.acc_f1,
-                "%.17g" % rec.acc_f2,
-                rec.c_samples_used,
-            ]
-        )

@@ -303,11 +303,22 @@ def load(path: str | Path) -> LabeledDataset:
     if t != n:
         raise SchemaError(f"manifest declares n={n} but data.csv has {t} rows")
 
+    # value checks run vectorised after the parse; the first bad row names
+    # the line (row 0 is line 2, after the header)
     for name, vec in (("observed_label", observed), ("true_label", true)):
-        if vec is not None and vec.size and vec.max() >= c:
+        if vec is None:
+            continue
+        bad = np.flatnonzero((vec < 0) | (vec >= c))
+        if len(bad):
             raise SchemaError(
-                f"manifest declares c={c} but {name} contains {int(vec.max())}"
+                f"manifest declares c={c} but {name} contains {int(vec[bad[0]])}",
+                line=int(bad[0]) + 2,
             )
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if len(bad):
+        row = features[bad[0]]
+        j = int(np.flatnonzero(~np.isfinite(row))[0])
+        raise SchemaError(f"feature f{j} is {row[j]}, not finite", line=int(bad[0]) + 2)
 
     noise = manifest.get("noise")
     blob = manifest.get("blob")

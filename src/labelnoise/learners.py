@@ -16,7 +16,7 @@ Three kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,25 +37,10 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Prediction:
-    """One sample's predicted label with its probability vector.
-
-    The label is always the argmax of the probabilities, ties broken
-    toward the lowest class index.
-    """
-
-    label: int
-    probabilities: np.ndarray
-    log_probabilities: np.ndarray
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     epochs: int
     batch_size: int
     learning_rate: float
-    decay_factor: float = 0.1
-    decay_epochs: tuple[int, ...] = ()
     seed: int = 0
     init_scale: float = 0.1
 
@@ -66,13 +51,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.decay_factor <= 0:
-            raise ValueError(f"decay_factor must be > 0, got {self.decay_factor}")
-
-    def rate_at(self, epoch: int) -> float:
-        """Learning rate for a 1-based epoch index."""
-        drops = sum(1 for m in self.decay_epochs if epoch >= m)
-        return self.learning_rate * self.decay_factor**drops
 
 
 class Learner:
@@ -110,23 +88,6 @@ class Learner:
         probs = self.predict_proba(features, true_labels)
         picked = probs[np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
         return -np.log(np.clip(picked, LOSS_CLAMP, None))
-
-
-def predict(
-    learner: Learner,
-    features: np.ndarray,
-    true_labels: Optional[np.ndarray] = None,
-) -> list[Prediction]:
-    probs = learner.predict_proba(np.atleast_2d(features), true_labels)
-    logs = np.log(np.clip(probs, LOSS_CLAMP, None))
-    return [
-        Prediction(label=int(np.argmax(p)), probabilities=p, log_probabilities=lp)
-        for p, lp in zip(probs, logs)
-    ]
-
-
-def per_sample_loss(learner: Learner, D: LabeledDataset) -> np.ndarray:
-    return learner.losses(D.features, D.observed_labels, D.true_labels)
 
 
 # --------------------------------------------------------------------------
@@ -358,12 +319,11 @@ class SoftmaxLearner(Learner):
     def train(self, D: LabeledDataset, epochs: Optional[int] = None) -> "SoftmaxLearner":
         epochs = self.cfg.epochs if epochs is None else epochs
         rng = np.random.default_rng(self.cfg.seed + 1)
-        for epoch in range(1, epochs + 1):
-            lr = self.cfg.rate_at(epoch)
+        for _ in range(epochs):
             order = rng.permutation(D.n)
             for start in range(0, D.n, self.cfg.batch_size):
                 rows = order[start : start + self.cfg.batch_size]
-                self.sgd_step(D.features[rows], D.observed_labels[rows], lr)
+                self.sgd_step(D.features[rows], D.observed_labels[rows], self.cfg.learning_rate)
         return self
 
     def flat_params(self) -> np.ndarray:
@@ -385,7 +345,7 @@ class SoftmaxLearner(Learner):
 
 
 # --------------------------------------------------------------------------
-# factories and checkpoints
+# factories
 
 LearnerFactory = Callable[[int], Learner]
 
@@ -402,80 +362,3 @@ def softmax_factory(
     c: int, d: int, cfg: TrainConfig, hidden: Optional[int] = None
 ) -> LearnerFactory:
     return lambda seed: SoftmaxLearner(c, d, replace(cfg, seed=seed), hidden)
-
-
-def checkpoint(learner: Learner) -> dict:
-    """JSON-ready snapshot of a trained learner."""
-    if isinstance(learner, OracleLearner):
-        return {
-            "kind": "oracle",
-            "hyperparameters": {"c": learner.c, "seed": learner.seed},
-            "parameters": {"transition": learner.T.entries.ravel().tolist()},
-        }
-    if isinstance(learner, KnnLearner):
-        if learner._X is None:
-            raise RuntimeError("cannot checkpoint an untrained k-NN learner")
-        return {
-            "kind": "knn",
-            "hyperparameters": {"k": learner.k, "c": learner.c, "d": learner._X.shape[1]},
-            "parameters": {
-                "features": learner._X.ravel().tolist(),
-                "labels": learner._y.tolist(),
-            },
-        }
-    if isinstance(learner, SoftmaxLearner):
-        return {
-            "kind": "softmax",
-            "hyperparameters": {
-                "c": learner.c,
-                "d": learner.d,
-                "hidden": learner.hidden,
-                "config": {
-                    "epochs": learner.cfg.epochs,
-                    "batch_size": learner.cfg.batch_size,
-                    "learning_rate": learner.cfg.learning_rate,
-                    "decay_factor": learner.cfg.decay_factor,
-                    "decay_epochs": list(learner.cfg.decay_epochs),
-                    "seed": learner.cfg.seed,
-                    "init_scale": learner.cfg.init_scale,
-                },
-            },
-            "parameters": {k: v.ravel().tolist() for k, v in learner.params.items()},
-        }
-    raise TypeError(f"cannot checkpoint learner of type {type(learner)!r}")
-
-
-def learner_from_checkpoint(snapshot: dict) -> Learner:
-    kind = snapshot["kind"]
-    hp = snapshot["hyperparameters"]
-    params = snapshot["parameters"]
-    if kind == "oracle":
-        c = int(hp["c"])
-        T = TransitionMatrix(c=c, entries=np.asarray(params["transition"]).reshape(c, c))
-        return OracleLearner(T, int(hp["seed"]))
-    if kind == "knn":
-        learner = KnnLearner(int(hp["k"]))
-        learner.c = int(hp["c"])
-        learner._X = np.asarray(params["features"], dtype=np.float64).reshape(
-            -1, int(hp["d"])
-        )
-        learner._y = np.asarray(params["labels"], dtype=np.int64)
-        return learner
-    if kind == "softmax":
-        cfg_d = hp["config"]
-        cfg = TrainConfig(
-            epochs=int(cfg_d["epochs"]),
-            batch_size=int(cfg_d["batch_size"]),
-            learning_rate=float(cfg_d["learning_rate"]),
-            decay_factor=float(cfg_d["decay_factor"]),
-            decay_epochs=tuple(cfg_d["decay_epochs"]),
-            seed=int(cfg_d["seed"]),
-            init_scale=float(cfg_d["init_scale"]),
-        )
-        learner = SoftmaxLearner(int(hp["c"]), int(hp["d"]), cfg, hp["hidden"])
-        shapes = {k: v.shape for k, v in learner.params.items()}
-        learner.params = {
-            k: np.asarray(params[k], dtype=np.float64).reshape(shapes[k]) for k in shapes
-        }
-        return learner
-    raise ValueError(f"unknown learner kind {kind!r}")

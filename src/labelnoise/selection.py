@@ -20,8 +20,6 @@ from .data import LabeledDataset, split_half
 from .learners import LearnerFactory
 from .theory import estimate_epsilon_asymmetric, estimate_epsilon_symmetric
 
-METRICS_CSV_HEADER = ["experiment", "class", "lp", "lr", "eps_s"]
-
 
 class UndefinedMetricError(ValueError):
     pass
@@ -340,25 +338,3 @@ def selection_metrics(selected_ids, D: LabeledDataset) -> SelectionMetrics:
         no_selected_support=tuple(no_selected),
         no_clean_support=tuple(no_clean),
     )
-
-
-def write_metrics_csv(stream, experiment: str, metrics: SelectionMetrics) -> None:
-    """Long-format CSV: one 'all' row, then one row per true class."""
-    import csv
-
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(METRICS_CSV_HEADER)
-    writer.writerow(
-        [experiment, "all", "%.17g" % metrics.lp, "%.17g" % metrics.lr, "%.17g" % metrics.eps_s]
-    )
-    for i in range(len(metrics.lp_i)):
-        eps_i = 1.0 - metrics.lp_i[i]
-        writer.writerow(
-            [
-                experiment,
-                str(i),
-                "%.17g" % metrics.lp_i[i],
-                "%.17g" % metrics.lr_i[i],
-                "%.17g" % eps_i,
-            ]
-        )

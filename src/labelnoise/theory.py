@@ -18,16 +18,13 @@ cross-validation accuracy.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable
 
 import numpy as np
 
 from .noise import TransitionMatrix
-
-THEORY_CSV_HEADER = ["kind", "c", "epsilon", "accuracy", "lp", "lr", "eps_s"]
 
 
 @dataclass(frozen=True)
@@ -140,27 +137,16 @@ def theory_point(kind: str, c: int, eps: float) -> TheoryPoint:
     """Accuracy, label precision and label recall at one noise ratio."""
     if kind == "symmetric":
         acc = symmetric_accuracy(eps, c)
-        lp = (1.0 - eps) ** 2 / acc if acc > 0 else 0.0
     elif kind == "asymmetric":
         acc = asymmetric_accuracy(eps)
-        lp = (1.0 - eps) ** 2 / acc if acc > 0 else 0.0
     else:
         raise ValueError(f"unknown noise kind {kind!r}")
+    lp = (1.0 - eps) ** 2 / acc if acc > 0 else 0.0
     return TheoryPoint(epsilon=eps, c=c, accuracy=acc, lp=lp, lr=1.0 - eps)
 
 
 def theory_curve(kind: str, c: int, grid: Iterable[float]) -> list[TheoryPoint]:
     return [theory_point(kind, c, float(eps)) for eps in grid]
-
-
-def write_theory_csv(stream: TextIO, kind: str, points: Sequence[TheoryPoint]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(THEORY_CSV_HEADER)
-    for p in points:
-        writer.writerow(
-            [kind, p.c]
-            + [f"{v:.17g}" for v in (p.epsilon, p.accuracy, p.lp, p.lr, p.eps_s)]
-        )
 
 
 def _check_eps(eps: float) -> None:

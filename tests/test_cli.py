@@ -11,6 +11,7 @@ from labelnoise.cli import (
     REPORT_CSV_HEADER,
     SIMULATE_CSV_HEADER,
     UsageError,
+    _write_csv,
     main,
     parse_grid,
 )
@@ -64,6 +65,25 @@ def test_grid_rejects_malformed_ranges():
         parse_grid("0:1")
     with pytest.raises(UsageError, match="step"):
         parse_grid("0:1:0")
+
+
+# ---------------------------------------------------------------------------
+# table writer
+
+
+def test_write_csv_formats_floats_and_stringifies_other_cells(tmp_path):
+    _write_csv(
+        tmp_path / "t.csv",
+        ["name", "n", "x"],
+        [["a", 3, 0.1], ["b", np.int64(4), np.float64(1 / 3)],
+         ["c", 5, float("nan")], ["d", 6, np.float32(0.5)]],
+    )
+    assert (tmp_path / "t.csv").read_text() == (
+        "name,n,x\na,3,0.10000000000000001\nb,4,0.33333333333333331\n"
+        "c,5,nan\nd,6,0.5\n"
+    )
+    _write_csv(tmp_path / "m.csv", None, np.eye(2))
+    assert (tmp_path / "m.csv").read_text() == "1,0\n0,1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +282,21 @@ def test_exhausted_candidates_warn_and_strict_escalates(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.filterwarnings("ignore:symmetric ratio 0.5")
+def test_strict_escalates_clamped_noise_estimate(tmp_path, capsys):
+    # two classes at 50% noise: this seed's agreement rate falls below the
+    # 1/c minimum of the accuracy law, so the estimate is clamped
+    src = make_input(tmp_path, ratio=0.5, c=2, seed=2)
+    argv = ["ncv", "--in", src, "--learner", "oracle"]
+    assert run(*argv, "--out", tmp_path / "a") == 0
+    err = capsys.readouterr().err
+    assert "warning: observed accuracy" in err and "clamping estimate" in err
+    assert run(*argv, "--strict", "--out", tmp_path / "b") == 1
+    assert (tmp_path / "a/selection.json").read_bytes() == (
+        tmp_path / "b/selection.json"
+    ).read_bytes()
+
+
 def test_incv_rejects_malformed_remove_ratio(tmp_path):
     src = make_input(tmp_path, ratio=0.2)
     code = run("incv", "--in", src, "--remove-ratio", "most", "--out", tmp_path / "o")
@@ -302,6 +337,21 @@ def test_cotrain_artifacts(tmp_path):
     assert final["eps_s_source"] == "measured"  # input carries true labels
     assert final["best_acc"] == max(final["acc_f1"], final["acc_f2"])
     assert 0.0 <= final["eps_s"] < 1.0
+
+
+def test_cotrain_scores_test_set_against_true_labels(tmp_path):
+    src, test, sel = pipeline(tmp_path)
+    noisy_test = tmp_path / "test_noisy"
+    assert run("corrupt", "--in", test, "--noise", "symmetric", "--ratio", 0.5,
+               "--seed", 1, "--out", noisy_test) == 0
+    argv = ["cotrain", "--in", src, "--selection", sel / "selection.json",
+            "--warmup", 1, "--epochs", 2, "--batch", 8, "--lr", 0.2]
+    assert run(*argv, "--test", test, "--out", tmp_path / "clean") == 0
+    assert run(*argv, "--test", noisy_test, "--out", tmp_path / "noisy") == 0
+    for name in ("cotrain.csv", "final.json"):
+        assert (tmp_path / "clean" / name).read_bytes() == (
+            tmp_path / "noisy" / name
+        ).read_bytes()
 
 
 def test_cotrain_missing_selection_exits_2(tmp_path):

@@ -1,4 +1,4 @@
-import io
+import json
 import math
 
 import numpy as np
@@ -7,19 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hand_dataset
+from labelnoise import data as data_mod
+from labelnoise.cli import main
 from labelnoise.cotraining import (
-    COTRAIN_CSV_HEADER,
     CoTrainConfig,
-    CoTrainReport,
-    EpochRecord,
     _CyclingSampler,
     batch_mix,
     cotrain,
     keep_count,
     resolve_eps_s,
-    write_cotrain_csv,
 )
-from labelnoise.data import BlobSpec, corrupt_dataset, make_blobs
+from labelnoise.data import BlobSpec, corrupt_dataset, make_blobs, split_per_class
 from labelnoise.learners import DivergenceError, TrainConfig, knn_factory, softmax_factory
 from labelnoise.noise import NoiseSpec
 
@@ -387,19 +385,26 @@ def test_divergence_propagates():
 # CSV output
 
 
-def test_cotrain_csv_layout():
-    report = CoTrainReport(
-        records=(
-            EpochRecord(epoch=1, n_e=32, acc_f1=0.5, acc_f2=0.25, c_samples_used=0),
-            EpochRecord(epoch=2, n_e=30, acc_f1=float("nan"), acc_f2=1.0, c_samples_used=8),
-        ),
-        eps_s=0.2,
-        eps_s_source="given",
-    )
-    buffer = io.StringIO()
-    write_cotrain_csv(buffer, report)
-    lines = buffer.getvalue().strip().split("\n")
-    assert lines[0].split(",") == COTRAIN_CSV_HEADER
-    assert lines[1].split(",") == ["1", "32", "0.5", "0.25", "0"]
-    row2 = lines[2].split(",")
-    assert row2[0] == "2" and row2[2] == "nan" and row2[3] == "1"
+def test_cotrain_csv_layout(tmp_path):
+    train, test = split_per_class(blob_set(5, n_per_class=20), 14)
+    data_mod.save(train, tmp_path / "in")
+    data_mod.save(test, tmp_path / "test")
+    # 30 selected, 12 candidates: candidate batches of round(8 * 12/30) = 3
+    selection = {"selected": train.ids[:30].tolist(), "candidate": train.ids[30:].tolist(),
+                 "removed": [], "epsilon_hat": 0.2, "history": [], "halt_reason": None}
+    (tmp_path / "selection.json").write_text(json.dumps(selection))
+    argv = ["cotrain", "--in", str(tmp_path / "in"), "--selection",
+            str(tmp_path / "selection.json"), "--eps-s", "0.2", "--warmup", "1",
+            "--epochs", "2", "--batch", "8", "--lr", "0.2"]
+    assert main(argv + ["--test", str(tmp_path / "test"), "--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "a/cotrain.csv").read_text().splitlines()]
+    assert rows[0] == ["epoch", "n_e", "acc_f1", "acc_f2", "c_samples_used"]
+    assert [row[0] for row in rows[1:]] == ["1", "2"]
+    assert rows[1][1] == str(keep_count(0, 8, 0.2))
+    assert rows[2][1] == str(keep_count(1, 8 + 3, 0.2))
+    assert rows[1][4] == "0" and rows[2][4] == str(math.ceil(30 / 8) * 3)
+    final = json.loads((tmp_path / "a/final.json").read_text())
+    assert [float(v) for v in rows[2][2:4]] == [final["acc_f1"], final["acc_f2"]]
+    no_test = (tmp_path / "b/cotrain.csv").read_text().splitlines()
+    assert [line.split(",")[2:4] for line in no_test[1:]] == [["nan", "nan"]] * 2

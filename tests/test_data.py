@@ -216,6 +216,21 @@ def test_load_rejects_row_count_mismatch(tmp_path):
         load(tmp_path / "ds")
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [("f1", "nan"), ("f0", "-inf"), ("observed_label", "-1"), ("true_label", "3")],
+)
+def test_load_rejects_bad_values_with_line(tmp_path, column, value):
+    save(blob(c=3, npc=3), tmp_path / "ds")
+    csv_path = tmp_path / "ds" / "data.csv"
+    lines = [line.split(",") for line in csv_path.read_text().splitlines()]
+    lines[4][lines[0].index(column)] = value
+    csv_path.write_text("\n".join(",".join(row) for row in lines) + "\n")
+    with pytest.raises(SchemaError, match="line 5") as excinfo:
+        load(tmp_path / "ds")
+    assert excinfo.value.line == 5
+
+
 def test_load_rejects_unknown_schema_version(tmp_path):
     D = blob(npc=3)
     save(D, tmp_path / "ds")

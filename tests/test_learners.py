@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +15,8 @@ from labelnoise.learners import (
     SoftmaxLearner,
     TrainConfig,
     _row_uniforms,
-    checkpoint,
     knn_factory,
-    learner_from_checkpoint,
     oracle_factory,
-    per_sample_loss,
-    predict,
     softmax_factory,
 )
 from labelnoise.noise import NoiseSpec, TransitionMatrix, symmetric_matrix
@@ -178,7 +172,7 @@ def test_oracle_disagreeing_losses_separate_clean_from_corrupted():
     )
     learner = OracleLearner(symmetric_matrix(c, eps), seed=2)
     pred = learner.predict_dataset(D)
-    losses = per_sample_loss(learner, D)
+    losses = learner.losses(D.features, D.observed_labels, D.true_labels)
     disagree = pred != D.observed_labels
     clean = disagree & (D.observed_labels == D.true_labels)
     corrupted = disagree & (D.observed_labels != D.true_labels)
@@ -311,20 +305,10 @@ def softmax_cfg(**kw):
 
 
 @pytest.mark.parametrize("bad", [dict(epochs=0), dict(batch_size=0),
-                                 dict(learning_rate=0.0), dict(decay_factor=0.0)])
+                                 dict(learning_rate=0.0)])
 def test_train_config_validation(bad):
     with pytest.raises(ValueError):
         softmax_cfg(**bad)
-
-
-def test_train_config_rate_schedule():
-    cfg = softmax_cfg(learning_rate=0.3, decay_factor=0.1, decay_epochs=(3, 5))
-    assert cfg.rate_at(1) == 0.3
-    assert cfg.rate_at(2) == 0.3
-    assert cfg.rate_at(3) == pytest.approx(0.03, rel=1e-12)
-    assert cfg.rate_at(4) == pytest.approx(0.03, rel=1e-12)
-    assert cfg.rate_at(5) == pytest.approx(0.003, rel=1e-12)
-    assert cfg.rate_at(50) == pytest.approx(0.003, rel=1e-12)
 
 
 def test_softmax_constructor_validation():
@@ -412,28 +396,6 @@ def test_softmax_flat_params_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# prediction wrapper
-
-
-def test_predict_wrapper_fields():
-    learner = SoftmaxLearner(4, 3, softmax_cfg())
-    X = random_features(6, 3, seed=14)
-    preds = predict(learner, X)
-    probs = learner.predict_proba(X)
-    assert len(preds) == 6
-    for i, p in enumerate(preds):
-        assert p.label == int(np.argmax(probs[i]))
-        np.testing.assert_array_equal(p.probabilities, probs[i])
-        np.testing.assert_allclose(p.log_probabilities, np.log(probs[i]), atol=1e-12)
-
-
-def test_predict_wrapper_single_row():
-    learner = SoftmaxLearner(3, 2, softmax_cfg())
-    preds = predict(learner, np.array([1.0, -1.0]))
-    assert len(preds) == 1
-
-
-# ---------------------------------------------------------------------------
 # factories
 
 
@@ -458,52 +420,3 @@ def test_softmax_factory_overrides_seed():
     assert learner.cfg.seed == 7
     assert learner.hidden == 5
     assert cfg.seed == 0  # factory must not mutate the template
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_oracle_round_trip():
-    learner, X, true = oracle_case()
-    snapshot = json.loads(json.dumps(checkpoint(learner)))
-    restored = learner_from_checkpoint(snapshot)
-    np.testing.assert_array_equal(
-        restored.predict_proba(X, true), learner.predict_proba(X, true)
-    )
-
-
-def test_checkpoint_knn_round_trip(tiny_blobs):
-    learner = KnnLearner(k=3).train(tiny_blobs)
-    snapshot = json.loads(json.dumps(checkpoint(learner)))
-    restored = learner_from_checkpoint(snapshot)
-    X = random_features(20, 3, seed=16)
-    np.testing.assert_array_equal(restored.predict_proba(X), learner.predict_proba(X))
-
-
-@pytest.mark.parametrize("hidden", [None, 5])
-def test_checkpoint_softmax_round_trip(hidden, tiny_blobs):
-    learner = SoftmaxLearner(4, 3, softmax_cfg(epochs=3), hidden=hidden).train(tiny_blobs)
-    snapshot = json.loads(json.dumps(checkpoint(learner)))
-    restored = learner_from_checkpoint(snapshot)
-    assert np.array_equal(restored.flat_params(), learner.flat_params())
-    assert restored.cfg == learner.cfg
-    X = random_features(10, 3, seed=17)
-    np.testing.assert_array_equal(restored.predict_proba(X), learner.predict_proba(X))
-
-
-def test_checkpoint_untrained_knn_rejected():
-    with pytest.raises(RuntimeError, match="untrained"):
-        checkpoint(KnnLearner())
-
-
-def test_checkpoint_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown learner kind"):
-        learner_from_checkpoint({"kind": "mystery", "hyperparameters": {}, "parameters": {}})
-
-
-def test_checkpoint_unsupported_learner_rejected():
-    from conftest import StubLearner
-
-    with pytest.raises(TypeError):
-        checkpoint(StubLearner(c=3))

@@ -1,4 +1,3 @@
-import io
 import json
 import warnings
 
@@ -8,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hand_dataset, stub_factory
-from labelnoise.data import BlobSpec, corrupt_dataset, make_blobs, split_half
-from labelnoise.learners import oracle_factory
+from labelnoise import data as data_mod
+from labelnoise.cli import main
+from labelnoise.data import BlobSpec, LabeledDataset, corrupt_dataset, make_blobs, split_half
+from labelnoise.learners import TrainConfig, knn_factory, oracle_factory, softmax_factory
 from labelnoise.noise import NoiseSpec, symmetric_matrix
 from labelnoise.selection import (
-    METRICS_CSV_HEADER,
     IterationRecord,
     SelectionResult,
     UndefinedMetricError,
@@ -22,7 +22,6 @@ from labelnoise.selection import (
     ncv,
     selection_metrics,
     selection_result_from_json,
-    write_metrics_csv,
 )
 
 
@@ -178,8 +177,16 @@ def test_zero_ratio_never_removes():
 # iteration behavior
 
 
-def test_partition_invariant_across_iterations():
-    D, factory = oracle_selection_case()
+@pytest.mark.parametrize("learner", ["oracle", "knn", "softmax"])
+def test_partition_invariant_across_iterations(learner):
+    D, oracle = oracle_selection_case(n_per_class=800 if learner == "oracle" else 200)
+    factory = {
+        "oracle": oracle,
+        "knn": knn_factory(1),
+        "softmax": softmax_factory(
+            D.c, D.d, TrainConfig(epochs=2, batch_size=32, learning_rate=0.3)
+        ),
+    }[learner]
     result = incv(D, factory, iterations=3, remove_ratio="auto", seed=12)
     merged = np.concatenate([result.selected, result.candidate, result.removed])
     assert len(merged) == D.n  # pairwise disjoint and jointly exhaustive
@@ -434,33 +441,49 @@ def test_metrics_flag_unsupported_classes():
 # CSV output
 
 
-def test_metrics_csv_layout():
-    D, ids = metrics_hand_case()
-    m = selection_metrics(ids, D)
-    buffer = io.StringIO()
-    write_metrics_csv(buffer, "trial", m)
-    rows = [line.split(",") for line in buffer.getvalue().strip().split("\n")]
-    assert rows[0] == METRICS_CSV_HEADER
+def ncv_metrics_rows(tmp_path, D, experiment):
+    """metrics.csv rows of `labelnoise ncv --learner oracle` on D, plus
+    the selected ids it wrote."""
+    data_mod.save(D, tmp_path / "in")
+    out = tmp_path / experiment
+    assert main(["ncv", "--in", str(tmp_path / "in"), "--learner", "oracle",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+    return rows, json.loads((out / "selection.json").read_text())["selected"]
+
+
+def test_metrics_csv_layout(tmp_path):
+    D, _ = oracle_selection_case(n_per_class=50)
+    rows, selected = ncv_metrics_rows(tmp_path, D, "trial")
+    m = selection_metrics(selected, D)
+    assert rows[0] == ["experiment", "class", "lp", "lr", "eps_s"]
     assert len(rows) == 2 + D.c
     assert rows[1][:2] == ["trial", "all"]
     assert float(rows[1][2]) == m.lp
     assert float(rows[1][3]) == m.lr
     assert float(rows[1][4]) == m.eps_s
-    assert rows[2][1] == "0" and float(rows[2][2]) == m.lp_i[0]
-    assert float(rows[3][4]) == 1.0 - m.lp_i[1]
+    for i in range(D.c):
+        assert rows[2 + i][:2] == ["trial", str(i)]
+        assert float(rows[2 + i][2]) == m.lp_i[i]
+        assert float(rows[2 + i][3]) == m.lr_i[i]
+        assert float(rows[2 + i][4]) == 1.0 - m.lp_i[i]
 
 
-def test_metrics_csv_writes_nan_for_missing_support():
-    D = hand_dataset(
-        pred_labels=[0, 0, 1, 1, 2, 2],
-        observed=[0, 0, 1, 1, 0, 1],
-        true=[0, 0, 1, 1, 2, 2],
+def test_metrics_csv_writes_nan_for_missing_support(tmp_path):
+    # a zero noise ratio makes the oracle predict the true label, so
+    # exactly the clean ids 0..3 are selected and true class 2 has no
+    # selected and no clean samples
+    D = LabeledDataset(
+        features=np.arange(12.0).reshape(6, 2),
+        observed_labels=[0, 0, 1, 1, 0, 1],
+        ids=np.arange(6),
         c=3,
+        true_labels=[0, 0, 1, 1, 2, 2],
+        noise=NoiseSpec(kind="symmetric", ratio=0.0, seed=0),
     )
-    with pytest.warns(UserWarning):
-        m = selection_metrics([0, 1, 2, 3], D)
-    buffer = io.StringIO()
-    write_metrics_csv(buffer, "x", m)
-    class2 = buffer.getvalue().strip().split("\n")[-1].split(",")
+    with pytest.warns(UserWarning, match="no selected samples"):
+        rows, selected = ncv_metrics_rows(tmp_path, D, "x")
+    assert selected == [0, 1, 2, 3]
+    class2 = rows[-1]
     assert class2[1] == "2"
-    assert class2[2] == "nan" and class2[3] == "nan"
+    assert class2[2] == "nan" and class2[3] == "nan" and class2[4] == "nan"

@@ -1,13 +1,11 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from labelnoise.cli import main
 from labelnoise.noise import TransitionMatrix, asymmetric_matrix, symmetric_matrix
 from labelnoise.theory import (
-    THEORY_CSV_HEADER,
     asymmetric_accuracy,
     class_accuracy,
     estimate_epsilon_asymmetric,
@@ -17,7 +15,6 @@ from labelnoise.theory import (
     symmetric_accuracy,
     theory_curve,
     theory_point,
-    write_theory_csv,
 )
 
 HAND_T = TransitionMatrix(c=2, entries=np.array([[0.8, 0.2], [0.3, 0.7]]))
@@ -142,23 +139,28 @@ def test_theory_curve_lengths_and_order():
     assert theory_curve("symmetric", 4, []) == []
 
 
-def test_write_theory_csv_round_trips_values():
-    points = theory_curve("symmetric", 10, [0.0, 0.5])
-    buf = io.StringIO()
-    write_theory_csv(buf, "symmetric", points)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == ",".join(THEORY_CSV_HEADER)
+THEORY_HEADER = "kind,c,epsilon,accuracy,lp,lr,eps_s"
+
+
+def test_write_theory_csv_round_trips_values(tmp_path):
+    assert main(["theory", "--kind", "symmetric", "--classes", "10",
+                 "--grid", "0,0.5", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "theory.csv").read_text().splitlines()
+    assert lines[0] == THEORY_HEADER
     assert len(lines) == 3
     row = lines[2].split(",")
+    assert row[:2] == ["symmetric", "10"]
     assert float(row[2]) == 0.5
     assert float(row[3]) == pytest.approx(0.2777777777777778)
     assert float(row[4]) == pytest.approx(0.9)
+    p = theory_point("symmetric", 10, 0.5)
+    assert [float(v) for v in row[2:]] == [p.epsilon, p.accuracy, p.lp, p.lr, p.eps_s]
 
 
-def test_write_theory_csv_empty_grid_header_only():
-    buf = io.StringIO()
-    write_theory_csv(buf, "symmetric", [])
-    assert buf.getvalue().splitlines() == [",".join(THEORY_CSV_HEADER)]
+def test_write_theory_csv_empty_grid_header_only(tmp_path):
+    assert main(["theory", "--kind", "symmetric", "--grid", "",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "theory.csv").read_text().splitlines() == [THEORY_HEADER]
 
 
 @given(
