@@ -22,8 +22,8 @@ import numpy as np
 
 from . import data as data_mod
 from .cotraining import CoTrainConfig, cotrain, resolve_eps_s
+from .data import format_float, write_csv
 from .learners import (
-    DivergenceError,
     KnnLearner,
     OracleLearner,
     TrainConfig,
@@ -35,7 +35,6 @@ from .noise import NoiseSpec, matrix_from_spec
 from .selection import (
     confusion_matrix,
     incv,
-    ncv,
     selection_metrics,
     selection_result_from_json,
 )
@@ -85,10 +84,6 @@ def parse_grid(text: str) -> list[float]:
     return [float(np.round(v, 12)) for v in values]
 
 
-def _fmt(x) -> str:
-    return "%.17g" % x
-
-
 def _write_resolved_config(out: Path, args: argparse.Namespace) -> None:
     payload = {
         k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")
@@ -105,20 +100,6 @@ def _out_dir(args) -> Path:
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    """The one artifact table writer: float cells (numpy included) as %.17g
-    so they round-trip exactly, every other cell as str. A None header
-    writes the rows alone."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row]
-            )
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +119,7 @@ def cmd_corrupt(args) -> int:
     data_mod.save(noisy, out)
     _write_resolved_config(out, args)
     realized = float(np.mean(noisy.observed_labels != D.true_labels))
-    print(f"realized noise ratio: {_fmt(realized)}")
+    print(f"realized noise ratio: {format_float(realized)}")
     return 0
 
 
@@ -154,7 +135,7 @@ def cmd_theory(args) -> int:
         [args.kind, p.c, p.epsilon, p.accuracy, p.lp, p.lr, p.eps_s] for p in points
     ]
     if args.format == "csv":
-        _write_csv(out / "theory.csv", THEORY_CSV_HEADER, rows)
+        write_csv(out / "theory.csv", THEORY_CSV_HEADER, rows)
     else:
         _write_json(out / "theory.json", [dict(zip(THEORY_CSV_HEADER, r)) for r in rows])
     _write_resolved_config(out, args)
@@ -228,7 +209,7 @@ def cmd_simulate(args) -> int:
 
     rows = [r for r, _ in results]
     if args.format == "csv":
-        _write_csv(
+        write_csv(
             out / "simulate.csv",
             SIMULATE_CSV_HEADER,
             ([row[k] for k in SIMULATE_CSV_HEADER] for row in rows),
@@ -236,13 +217,13 @@ def cmd_simulate(args) -> int:
     else:
         _write_json(out / "simulate.json", rows)
     for i, (_, M) in enumerate(results):
-        _write_csv(out / f"confusion_{i:03d}.csv", None, M)
+        write_csv(out / f"confusion_{i:03d}.csv", None, M)
     _write_resolved_config(out, args)
     if rows:
         print(
             "max deviations: accuracy %s lp %s lr %s confusion %s"
             % tuple(
-                _fmt(max(row[k] for row in rows))
+                format_float(max(row[k] for row in rows))
                 for k in ("acc_dev", "lp_dev", "lr_dev", "m_dev")
             )
         )
@@ -276,19 +257,14 @@ def _learner_factory(args, D):
 def _run_selection(args, iterations: int, remove_ratio) -> int:
     D = data_mod.load(Path(args.in_dir))
     factory = _learner_factory(args, D)
-    # the noise-ratio estimators warn when they clamp; record those
-    # warnings so --strict can escalate them
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = incv(
-            D,
-            factory,
-            iterations=iterations,
-            epochs=args.epochs,
-            remove_ratio=remove_ratio,
-            seed=args.seed,
-            noise_kind=args.noise_kind,
-        )
+    result = incv(
+        D,
+        factory,
+        iterations=iterations,
+        remove_ratio=remove_ratio,
+        seed=args.seed,
+        noise_kind=args.noise_kind,
+    )
     out = _out_dir(args)
     _write_json(out / "selection.json", result.to_json_dict())
     if D.true_labels is not None and len(result.selected) > 0:
@@ -298,18 +274,15 @@ def _run_selection(args, iterations: int, remove_ratio) -> int:
             [out.name, i, lp_i, lr_i, 1.0 - lp_i]
             for i, (lp_i, lr_i) in enumerate(zip(m.lp_i, m.lr_i))
         ]
-        _write_csv(out / "metrics.csv", ["experiment", "class", "lp", "lr", "eps_s"], rows)
+        write_csv(out / "metrics.csv", ["experiment", "class", "lp", "lr", "eps_s"], rows)
     _write_resolved_config(out, args)
     print(
         f"selected {len(result.selected)} of {D.n} samples; "
-        f"estimated noise ratio {_fmt(result.epsilon_hat)}"
+        f"estimated noise ratio {format_float(result.epsilon_hat)}"
     )
-    messages = [str(w.message) for w in caught]
     if result.halt_reason is not None:
-        messages.append(result.halt_reason)
-    for message in messages:
-        print(f"warning: {message}", file=sys.stderr)
-    return 1 if messages and args.strict else 0
+        warnings.warn(result.halt_reason)
+    return 0
 
 
 def cmd_ncv(args) -> int:
@@ -364,7 +337,7 @@ def cmd_cotrain(args) -> int:
         S, C, cfg, factory, clean_test=clean_test, eps_s_source=source
     )
     out = _out_dir(args)
-    _write_csv(
+    write_csv(
         out / "cotrain.csv",
         ["epoch", "n_e", "acc_f1", "acc_f2", "c_samples_used"],
         ([r.epoch, r.n_e, r.acc_f1, r.acc_f2, r.c_samples_used] for r in report.records),
@@ -382,7 +355,10 @@ def cmd_cotrain(args) -> int:
         },
     )
     _write_resolved_config(out, args)
-    print(f"final clean-test accuracy: f1 {_fmt(last.acc_f1)} f2 {_fmt(last.acc_f2)}")
+    print(
+        f"final clean-test accuracy: f1 {format_float(last.acc_f1)} "
+        f"f2 {format_float(last.acc_f2)}"
+    )
     return 0
 
 
@@ -421,7 +397,7 @@ def cmd_report(args) -> int:
             raise UsageError(f"run directory not found: {run}")
         rows.append({"run": run_path.name, **_run_summary(run_path)})
     if args.format == "csv":
-        _write_csv(
+        write_csv(
             out / "report.csv",
             REPORT_CSV_HEADER,
             ([row[k] for k in REPORT_CSV_HEADER] for row in rows),
@@ -541,20 +517,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        ValueError,
-        OSError,
-        DivergenceError,
-        data_mod.SchemaError,
-        RuntimeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # records every warning the command raises, simulate's pool threads
+    # included (the warning filters are process-wide); each distinct
+    # message is printed once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, error = args.func(args), None
+        except UsageError as exc:
+            code, error = 2, exc
+        except (ValueError, OSError, RuntimeError) as exc:  # incl. SchemaError, DivergenceError
+            code, error = 1, exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    elif caught and args.strict:
         return 1
+    return code
 
 
 if __name__ == "__main__":

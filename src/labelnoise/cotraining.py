@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import LabeledDataset
-from .learners import LearnerFactory
+from .learners import LearnerFactory, SoftmaxLearner
 from .selection import selection_metrics
 from .theory import theory_point
 
@@ -152,11 +152,12 @@ def cotrain(
     """Run the exchange loop; returns (f1, f2, CoTrainReport).
 
     The two learners come from learner_factory(seed) and factory(seed+1)
-    and must expose sgd_step. Keep sets are computed for both learners
-    before either update; f1 steps on f2's kept subset first, then f2 on
-    f1's. The reported n_e is the schedule value at the nominal batch
-    size; the last batch of an epoch may be smaller when |S| is not a
-    multiple of the base batch.
+    and must be SoftmaxLearners. They see only observed labels; true
+    labels are read only to score clean_test. Keep sets are computed for
+    both learners before either update; f1 steps on f2's kept subset
+    first, then f2 on f1's. The reported n_e is the schedule value at the
+    nominal batch size; the last batch of an epoch may be smaller when |S|
+    is not a multiple of the base batch.
     """
     if S.n == 0:
         raise ValueError("selected set is empty; nothing to co-train on")
@@ -165,8 +166,8 @@ def cotrain(
     f1 = learner_factory(cfg.seed)
     f2 = learner_factory(cfg.seed + 1)
     for f in (f1, f2):
-        if not hasattr(f, "sgd_step"):
-            raise TypeError(f"co-training needs gradient-updatable learners, got {f.kind}")
+        if not isinstance(f, SoftmaxLearner):
+            raise TypeError(f"co-training needs gradient learners, got {type(f).__name__}")
 
     s_stream = _CyclingSampler(S.n, np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])))
     c_stream = (
@@ -185,21 +186,16 @@ def cotrain(
             s_rows = s_stream.take(min(base, S.n - b * base) if b == n_batches - 1 else base)
             bx = S.features[s_rows]
             by = S.observed_labels[s_rows]
-            bt = None if S.true_labels is None else S.true_labels[s_rows]
             bids = S.ids[s_rows]
             if not warm and c_stream is not None and b_c > 0:
                 c_rows = c_stream.take(b_c)
                 bx = np.vstack([bx, C.features[c_rows]])
                 by = np.concatenate([by, C.observed_labels[c_rows]])
                 bids = np.concatenate([bids, C.ids[c_rows]])
-                if bt is not None and C.true_labels is not None:
-                    bt = np.concatenate([bt, C.true_labels[c_rows]])
-                else:
-                    bt = None
                 c_used += b_c
             k = keep_count(e, len(by), cfg.eps_s)
-            keep1 = np.argsort(f1.losses(bx, by, bt), kind="stable")[:k]
-            keep2 = np.argsort(f2.losses(bx, by, bt), kind="stable")[:k]
+            keep1 = np.argsort(f1.losses(bx, by), kind="stable")[:k]
+            keep2 = np.argsort(f2.losses(bx, by), kind="stable")[:k]
             if on_batch is not None:
                 on_batch(e, b, bids, bids[keep1], bids[keep2])
             f1.sgd_step(bx[keep2], by[keep2], lr)

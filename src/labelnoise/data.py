@@ -221,6 +221,26 @@ def split_per_class(
     return D.subset(first_ids), D.subset(np.setdiff1d(D.ids, first_ids))
 
 
+def format_float(x) -> str:
+    """17 significant digits: every float64 round-trips exactly."""
+    return "%.17g" % x
+
+
+def write_csv(path: Path, header, rows) -> None:
+    """The one CSV table writer, for datasets and every CLI artifact: float
+    cells (numpy included) with format_float, every other cell with str. A
+    None header writes the rows alone."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [format_float(v) if isinstance(v, (float, np.floating)) else str(v)
+                 for v in row]
+            )
+
+
 def save(D: LabeledDataset, path: str | Path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -230,16 +250,13 @@ def save(D: LabeledDataset, path: str | Path) -> None:
         + ["observed_label"]
         + (["true_label"] if D.true_labels is not None else [])
     )
-    with open(path / "data.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t in range(D.n):
-            row = [str(int(D.ids[t]))]
-            row += [f"{v:.17g}" for v in D.features[t]]
-            row.append(str(int(D.observed_labels[t])))
-            if D.true_labels is not None:
-                row.append(str(int(D.true_labels[t])))
-            writer.writerow(row)
+    labels = np.column_stack(
+        [D.observed_labels] if D.true_labels is None else [D.observed_labels, D.true_labels]
+    )
+    # row by row: tolist() on the whole matrix would hold every cell as a
+    # Python float at once
+    rows = ([i, *x.tolist(), *y.tolist()] for i, x, y in zip(D.ids.tolist(), D.features, labels))
+    write_csv(path / "data.csv", header, rows)
     manifest = {
         "n": D.n,
         "d": D.d,
@@ -264,7 +281,16 @@ def load(path: str | Path) -> LabeledDataset:
         raise SchemaError(
             f"unsupported schema_version {manifest.get('schema_version')!r}"
         )
-    n, d, c = int(manifest["n"]), int(manifest["d"]), int(manifest["c"])
+    try:
+        n, d, c = int(manifest["n"]), int(manifest["d"]), int(manifest["c"])
+    except KeyError as exc:
+        raise SchemaError(f"manifest.json: missing field {exc.args[0]!r}") from None
+    specs = {}
+    for key, spec_type in (("noise", NoiseSpec), ("blob", BlobSpec)):
+        try:
+            specs[key] = spec_type.from_dict(manifest[key]) if manifest.get(key) else None
+        except KeyError as exc:
+            raise SchemaError(f"manifest.json: missing field '{key}.{exc.args[0]}'") from None
 
     with open(path / "data.csv", newline="") as fh:
         reader = csv.reader(fh)
@@ -320,14 +346,12 @@ def load(path: str | Path) -> LabeledDataset:
         j = int(np.flatnonzero(~np.isfinite(row))[0])
         raise SchemaError(f"feature f{j} is {row[j]}, not finite", line=int(bad[0]) + 2)
 
-    noise = manifest.get("noise")
-    blob = manifest.get("blob")
     return LabeledDataset(
         features=features,
         observed_labels=observed,
         ids=ids,
         c=c,
         true_labels=true,
-        noise=NoiseSpec.from_dict(noise) if noise else None,
-        blob=BlobSpec.from_dict(blob) if blob else None,
+        noise=specs["noise"],
+        blob=specs["blob"],
     )

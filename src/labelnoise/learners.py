@@ -54,15 +54,11 @@ class TrainConfig:
 
 
 class Learner:
-    """Uniform interface: reinitialize, train, predict, per-sample loss."""
+    """Uniform interface: train, predict, per-sample loss."""
 
-    kind: str
     c: int
 
-    def reinitialize(self) -> None:
-        raise NotImplementedError
-
-    def train(self, D: LabeledDataset, epochs: Optional[int] = None) -> "Learner":
+    def train(self, D: LabeledDataset) -> "Learner":
         raise NotImplementedError
 
     def predict_proba(
@@ -133,18 +129,13 @@ class OracleLearner(Learner):
     than corrupted ones, which large-loss removal relies on).
     """
 
-    kind = "oracle"
-
     def __init__(self, T: TransitionMatrix, seed: int):
         self.T = T
         self.seed = int(seed)
         self.c = T.c
         self._cdf = T.row_cdf()
 
-    def reinitialize(self) -> None:
-        pass
-
-    def train(self, D: LabeledDataset, epochs: Optional[int] = None) -> "OracleLearner":
+    def train(self, D: LabeledDataset) -> "OracleLearner":
         return self
 
     def predict_proba(self, features, true_labels=None) -> np.ndarray:
@@ -176,8 +167,6 @@ class KnnLearner(Learner):
     cross-entropy loss of any sample stays finite.
     """
 
-    kind = "knn"
-
     def __init__(self, k: int = 1):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -186,11 +175,7 @@ class KnnLearner(Learner):
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
 
-    def reinitialize(self) -> None:
-        self._X = None
-        self._y = None
-
-    def train(self, D: LabeledDataset, epochs: Optional[int] = None) -> "KnnLearner":
+    def train(self, D: LabeledDataset) -> "KnnLearner":
         if D.n == 0:
             raise ValueError("cannot train on an empty dataset")
         self._X = D.features
@@ -228,8 +213,6 @@ class KnnLearner(Learner):
 class SoftmaxLearner(Learner):
     """Multinomial logistic regression, optionally one ReLU hidden layer."""
 
-    kind = "softmax"
-
     def __init__(self, c: int, d: int, cfg: TrainConfig, hidden: Optional[int] = None):
         if c < 2:
             raise ValueError(f"class count must be >= 2, got {c}")
@@ -239,37 +222,33 @@ class SoftmaxLearner(Learner):
         self.d = d
         self.cfg = cfg
         self.hidden = hidden
-        self.params: dict[str, np.ndarray] = {}
-        self.reinitialize()
-
-    def reinitialize(self) -> None:
-        rng = np.random.default_rng(self.cfg.seed)
-        s = self.cfg.init_scale
-        if self.hidden is None:
+        rng = np.random.default_rng(cfg.seed)
+        s = cfg.init_scale
+        if hidden is None:
             self.params = {
-                "w": s * rng.standard_normal((self.d, self.c)),
-                "b": s * rng.standard_normal(self.c),
+                "w": s * rng.standard_normal((d, c)),
+                "b": s * rng.standard_normal(c),
             }
         else:
-            h = self.hidden
             self.params = {
-                "w1": s * rng.standard_normal((self.d, h)),
-                "b1": s * rng.standard_normal(h),
-                "w2": s * rng.standard_normal((h, self.c)),
-                "b2": s * rng.standard_normal(self.c),
+                "w1": s * rng.standard_normal((d, hidden)),
+                "b1": s * rng.standard_normal(hidden),
+                "w2": s * rng.standard_normal((hidden, c)),
+                "b2": s * rng.standard_normal(c),
             }
 
-    def _logits(self, X: np.ndarray) -> np.ndarray:
+    def _forward(self, X: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """(hidden ReLU activation or None, logits)."""
         if self.hidden is None:
-            return X @ self.params["w"] + self.params["b"]
-        pre = X @ self.params["w1"] + self.params["b1"]
-        return np.maximum(pre, 0.0) @ self.params["w2"] + self.params["b2"]
+            return None, X @ self.params["w"] + self.params["b"]
+        act = np.maximum(X @ self.params["w1"] + self.params["b1"], 0.0)
+        return act, act @ self.params["w2"] + self.params["b2"]
 
     def predict_proba(self, features, true_labels=None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if X.shape[1] != self.d:
             raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
-        logits = self._logits(X)
+        _, logits = self._forward(X)
         logits -= logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
         return e / e.sum(axis=1, keepdims=True)
@@ -281,12 +260,7 @@ class SoftmaxLearner(Learner):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.int64)
         n = len(y)
-        if self.hidden is None:
-            logits = X @ self.params["w"] + self.params["b"]
-        else:
-            pre = X @ self.params["w1"] + self.params["b1"]
-            act = np.maximum(pre, 0.0)
-            logits = act @ self.params["w2"] + self.params["b2"]
+        act, logits = self._forward(X)
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=1))
         log_probs = shifted - log_z[:, None]
@@ -299,7 +273,7 @@ class SoftmaxLearner(Learner):
             grads = {"w": X.T @ dlogits, "b": dlogits.sum(axis=0)}
         else:
             dact = dlogits @ self.params["w2"].T
-            dpre = dact * (pre > 0.0)
+            dpre = dact * (act > 0.0)
             grads = {
                 "w1": X.T @ dpre,
                 "b1": dpre.sum(axis=0),
@@ -316,10 +290,9 @@ class SoftmaxLearner(Learner):
             self.params[name] -= lr * g
         return loss
 
-    def train(self, D: LabeledDataset, epochs: Optional[int] = None) -> "SoftmaxLearner":
-        epochs = self.cfg.epochs if epochs is None else epochs
+    def train(self, D: LabeledDataset) -> "SoftmaxLearner":
         rng = np.random.default_rng(self.cfg.seed + 1)
-        for _ in range(epochs):
+        for _ in range(self.cfg.epochs):
             order = rng.permutation(D.n)
             for start in range(0, D.n, self.cfg.batch_size):
                 rows = order[start : start + self.cfg.batch_size]
@@ -345,7 +318,7 @@ class SoftmaxLearner(Learner):
 
 
 # --------------------------------------------------------------------------
-# factories
+# factories: a fresh learner comes only from a factory or constructor call
 
 LearnerFactory = Callable[[int], Learner]
 

@@ -79,26 +79,29 @@ class SelectionResult:
 
 
 def selection_result_from_json(payload: dict) -> SelectionResult:
-    history = tuple(
-        IterationRecord(
-            iteration=int(h["iteration"]),
-            n_s1=int(h["n_s1"]),
-            n_s2=int(h["n_s2"]),
-            n_r1=int(h["n_r1"]),
-            n_r2=int(h["n_r2"]),
-            acc1=float(h["acc1"]),
-            acc2=float(h["acc2"]),
+    try:
+        history = tuple(
+            IterationRecord(
+                iteration=int(h["iteration"]),
+                n_s1=int(h["n_s1"]),
+                n_s2=int(h["n_s2"]),
+                n_r1=int(h["n_r1"]),
+                n_r2=int(h["n_r2"]),
+                acc1=float(h["acc1"]),
+                acc2=float(h["acc2"]),
+            )
+            for h in payload["history"]
         )
-        for h in payload["history"]
-    )
-    return SelectionResult(
-        selected=np.asarray(sorted(payload["selected"]), dtype=np.int64),
-        candidate=np.asarray(sorted(payload["candidate"]), dtype=np.int64),
-        removed=np.asarray(sorted(payload["removed"]), dtype=np.int64),
-        epsilon_hat=float(payload["epsilon_hat"]),
-        history=history,
-        halt_reason=payload.get("halt_reason"),
-    )
+        return SelectionResult(
+            selected=np.asarray(sorted(payload["selected"]), dtype=np.int64),
+            candidate=np.asarray(sorted(payload["candidate"]), dtype=np.int64),
+            removed=np.asarray(sorted(payload["removed"]), dtype=np.int64),
+            epsilon_hat=float(payload["epsilon_hat"]),
+            history=history,
+            halt_reason=payload.get("halt_reason"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"selection JSON: missing key {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,6 @@ def _fold_pass(
     train_ids: np.ndarray,
     eval_fold: LabeledDataset,
     learner_factory: LearnerFactory,
-    epochs: Optional[int],
     fold_seed: int,
     remove_ratio: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -145,7 +147,7 @@ def _fold_pass(
     the observed labels, ties broken by ascending id.
     """
     learner = learner_factory(fold_seed)
-    learner.train(D.subset(train_ids), epochs=epochs)
+    learner.train(D.subset(train_ids))
     agree = learner.predict_dataset(eval_fold) == eval_fold.observed_labels
     selected = eval_fold.ids[agree]
     removed = np.empty(0, dtype=np.int64)
@@ -162,7 +164,6 @@ def incv(
     D: LabeledDataset,
     learner_factory: LearnerFactory,
     iterations: int,
-    epochs: Optional[int] = None,
     remove_ratio: float | str = "auto",
     seed: int = 0,
     noise_kind: str = "symmetric",
@@ -211,10 +212,10 @@ def incv(
         C1, C2 = split_half(D.subset(candidate), seed=split_seed)
         r_now = 0.0 if (auto_r and iteration == 1) else remove_ratio
         s1, r1, acc1 = _fold_pass(
-            D, np.union1d(selected, C1.ids), C2, learner_factory, epochs, seed1, r_now
+            D, np.union1d(selected, C1.ids), C2, learner_factory, seed1, r_now
         )
         s2, r2, acc2 = _fold_pass(
-            D, np.union1d(selected, C2.ids), C1, learner_factory, epochs, seed2, r_now
+            D, np.union1d(selected, C2.ids), C1, learner_factory, seed2, r_now
         )
         if iteration == 1:
             rate = (len(s1) + len(s2)) / len(candidate)
@@ -245,7 +246,6 @@ def incv(
 def ncv(
     D: LabeledDataset,
     learner_factory: LearnerFactory,
-    epochs: Optional[int] = None,
     seed: int = 0,
     noise_kind: str = "symmetric",
 ) -> SelectionResult:
@@ -254,7 +254,6 @@ def ncv(
         D,
         learner_factory,
         iterations=1,
-        epochs=epochs,
         remove_ratio=0.0,
         seed=seed,
         noise_kind=noise_kind,

@@ -11,11 +11,10 @@ from labelnoise.cli import (
     REPORT_CSV_HEADER,
     SIMULATE_CSV_HEADER,
     UsageError,
-    _write_csv,
     main,
     parse_grid,
 )
-from labelnoise.data import BlobSpec, LabeledDataset, corrupt_dataset, make_blobs
+from labelnoise.data import BlobSpec, LabeledDataset, corrupt_dataset, make_blobs, write_csv
 from labelnoise.noise import NoiseSpec
 
 
@@ -72,7 +71,7 @@ def test_grid_rejects_malformed_ranges():
 
 
 def test_write_csv_formats_floats_and_stringifies_other_cells(tmp_path):
-    _write_csv(
+    write_csv(
         tmp_path / "t.csv",
         ["name", "n", "x"],
         [["a", 3, 0.1], ["b", np.int64(4), np.float64(1 / 3)],
@@ -82,7 +81,7 @@ def test_write_csv_formats_floats_and_stringifies_other_cells(tmp_path):
         "name,n,x\na,3,0.10000000000000001\nb,4,0.33333333333333331\n"
         "c,5,nan\nd,6,0.5\n"
     )
-    _write_csv(tmp_path / "m.csv", None, np.eye(2))
+    write_csv(tmp_path / "m.csv", None, np.eye(2))
     assert (tmp_path / "m.csv").read_text() == "1,0\n0,1\n"
 
 
@@ -282,6 +281,25 @@ def test_exhausted_candidates_warn_and_strict_escalates(tmp_path, capsys):
     assert code == 1
 
 
+def test_strict_escalates_a_corrupt_warning(tmp_path, capsys):
+    # 0.75 >= (c-1)/c at c=4: the noise matrix warns that its diagonal is
+    # no longer the strict row maximum
+    src = make_input(tmp_path)
+    argv = ["corrupt", "--in", src, "--noise", "symmetric", "--ratio", 0.75]
+    assert run(*argv, "--out", tmp_path / "a") == 0
+    assert "warning: symmetric ratio 0.75" in capsys.readouterr().err
+    assert run(*argv, "--strict", "--out", tmp_path / "b") == 1
+    assert "warning: symmetric ratio 0.75" in capsys.readouterr().err
+
+
+def test_strict_escalates_a_warning_from_simulate_pool_threads(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LABNOISE_THREADS", "2")
+    code = run("simulate", "--classes", 4, "--dims", 3, "--samples", 400,
+               "--grid", "0.1,0.75", "--strict", "--out", tmp_path / "o")
+    assert code == 1
+    assert "warning: symmetric ratio 0.75" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:symmetric ratio 0.5")
 def test_strict_escalates_clamped_noise_estimate(tmp_path, capsys):
     # two classes at 50% noise: this seed's agreement rate falls below the
@@ -295,6 +313,15 @@ def test_strict_escalates_clamped_noise_estimate(tmp_path, capsys):
     assert (tmp_path / "a/selection.json").read_bytes() == (
         tmp_path / "b/selection.json"
     ).read_bytes()
+
+
+def test_ncv_manifest_without_n_exits_1(tmp_path, capsys):
+    src = make_input(tmp_path, ratio=0.2)
+    manifest = json.loads((src / "manifest.json").read_text())
+    del manifest["n"]
+    (src / "manifest.json").write_text(json.dumps(manifest))
+    assert run("ncv", "--in", src, "--out", tmp_path / "o") == 1
+    assert "error: manifest.json: missing field 'n'" in capsys.readouterr().err
 
 
 def test_incv_rejects_malformed_remove_ratio(tmp_path):
@@ -352,6 +379,16 @@ def test_cotrain_scores_test_set_against_true_labels(tmp_path):
         assert (tmp_path / "clean" / name).read_bytes() == (
             tmp_path / "noisy" / name
         ).read_bytes()
+
+
+def test_cotrain_selection_without_history_exits_1(tmp_path, capsys):
+    src = make_input(tmp_path, ratio=0.2)
+    selection = {"selected": [0, 1], "candidate": [], "removed": [], "epsilon_hat": 0.2}
+    (tmp_path / "selection.json").write_text(json.dumps(selection))
+    code = run("cotrain", "--in", src, "--selection", tmp_path / "selection.json",
+               "--out", tmp_path / "o")
+    assert code == 1
+    assert "error: selection JSON: missing key 'history'" in capsys.readouterr().err
 
 
 def test_cotrain_missing_selection_exits_2(tmp_path):

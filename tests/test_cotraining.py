@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,19 @@ def test_warmup_only_run_matches_documented_algorithm():
     r1, r2 = replay_cotrain(S, None, cfg, factory)
     assert np.array_equal(f1.flat_params(), r1.flat_params())
     assert np.array_equal(f2.flat_params(), r2.flat_params())
+
+
+def test_true_labels_do_not_change_training():
+    S = corrupt_dataset(blob_set(2), NoiseSpec(kind="symmetric", ratio=0.3, seed=5))
+    C = corrupt_dataset(blob_set(9), NoiseSpec(kind="symmetric", ratio=0.3, seed=6))
+    cfg = cotrain_cfg(warmup_epochs=1, total_epochs=4, eps_s=0.3, seed=2)
+    test = blob_set(4)
+    seen = cotrain(S, C, cfg, linear_factory(), clean_test=test)
+    blind = cotrain(replace(S, true_labels=None), replace(C, true_labels=None), cfg,
+                    linear_factory(), clean_test=test)
+    assert np.array_equal(seen[0].flat_params(), blind[0].flat_params())
+    assert np.array_equal(seen[1].flat_params(), blind[1].flat_params())
+    assert seen[2].records == blind[2].records
 
 
 def test_candidates_untouched_while_warm():

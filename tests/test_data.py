@@ -164,6 +164,22 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert back.noise == D.noise
 
 
+def test_save_writes_golden_bytes(tmp_path):
+    D = LabeledDataset(
+        features=[[0.1, -0.0], [1 / 3, 1e-300]],
+        observed_labels=[0, 1],
+        ids=[7, 2**53 + 1],
+        c=2,
+        true_labels=[1, 1],
+    )
+    save(D, tmp_path / "ds")
+    assert (tmp_path / "ds" / "data.csv").read_text() == (
+        "id,f0,f1,observed_label,true_label\n"
+        "7,0.10000000000000001,-0,0,1\n"
+        "9007199254740993,0.33333333333333331,1e-300,1,1\n"
+    )
+
+
 def test_save_load_without_truth(tmp_path):
     D = blob(npc=4)
     bare = LabeledDataset(
@@ -239,6 +255,23 @@ def test_load_rejects_unknown_schema_version(tmp_path):
     manifest["schema_version"] = 99
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(SchemaError):
+        load(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "key, nested, name",
+    [("n", None, "'n'"), ("d", None, "'d'"), ("c", None, "'c'"),
+     ("noise", "kind", "'noise.kind'"), ("blob", "seed", "'blob.seed'")],
+)
+def test_load_names_missing_manifest_field(tmp_path, key, nested, name):
+    D = corrupt_dataset(blob(npc=3), NoiseSpec(kind="symmetric", ratio=0.2, seed=1))
+    save(D, tmp_path / "ds")
+    manifest_path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    target = manifest if nested is None else manifest[key]
+    del target[nested or key]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError, match=f"manifest.json: missing field {name}"):
         load(tmp_path / "ds")
 
 

@@ -154,7 +154,6 @@ def test_oracle_draw_frequencies_match_transition_rows():
 def test_oracle_training_is_a_noop(tiny_blobs):
     learner = OracleLearner(symmetric_matrix(4, 0.2), seed=0)
     assert learner.train(tiny_blobs) is learner
-    learner.reinitialize()  # must not raise or reset anything
     X = tiny_blobs.features
     before = learner.predict_labels(X, tiny_blobs.true_labels)
     after = learner.train(tiny_blobs).predict_labels(X, tiny_blobs.true_labels)
@@ -287,13 +286,6 @@ def test_knn_matches_naive_reference(k):
     )
 
 
-def test_knn_reinitialize_forgets_trainset(tiny_blobs):
-    learner = KnnLearner().train(tiny_blobs)
-    learner.reinitialize()
-    with pytest.raises(RuntimeError):
-        learner.predict_proba(tiny_blobs.features)
-
-
 # ---------------------------------------------------------------------------
 # softmax learner
 
@@ -343,11 +335,6 @@ def test_softmax_retrain_is_bit_identical(hidden, tiny_blobs):
     a = SoftmaxLearner(4, 3, softmax_cfg(epochs=5), hidden=hidden).train(tiny_blobs)
     b = SoftmaxLearner(4, 3, softmax_cfg(epochs=5), hidden=hidden).train(tiny_blobs)
     assert np.array_equal(a.flat_params(), b.flat_params())
-    a_params = a.flat_params().copy()
-    a.reinitialize()
-    assert not np.array_equal(a.flat_params(), a_params)
-    a.train(tiny_blobs)
-    assert np.array_equal(a.flat_params(), a_params)
 
 
 def test_softmax_seed_changes_trajectory(tiny_blobs):
