@@ -161,7 +161,7 @@ def _simulate_point(args, eps: float, index: int):
             separation=args.separation, spread=args.spread,
             seed=args.seed + 7919 * index,
         )
-        D = corrupt_dataset(make_blobs(blob), spec)
+        D = corrupt_dataset(make_blobs(blob), spec, T)
         model = OracleLearner(T, seed=args.seed + 7919 * index + 2)
         pred = model.predict_labels(D.features, D.true_labels)
     else:
@@ -170,7 +170,7 @@ def _simulate_point(args, eps: float, index: int):
             separation=args.separation, spread=args.spread,
             seed=args.seed + 7919 * index,
         )
-        full = corrupt_dataset(make_blobs(blob), spec)
+        full = corrupt_dataset(make_blobs(blob), spec, T)
         train, D = data_mod.split_per_class(full, per_class)
         model = KnnLearner(k=1).train(train)
         pred = model.predict_labels(D.features)

@@ -26,6 +26,7 @@ from .noise import TransitionMatrix
 
 LOSS_CLAMP = 1e-12
 DIVERGENCE_LIMIT = 1e6
+KNN_BLOCK_BYTES = 1 << 22  # k-NN distance block: 4 MiB of float64, cache-sized
 
 
 class MissingTrueLabelsError(ValueError):
@@ -190,19 +191,23 @@ class KnnLearner(Learner):
         k = min(self.k, len(self._y))
         train_sq = np.einsum("ij,ij->i", self._X, self._X)
         counts = np.zeros((X.shape[0], self.c))
-        chunk = max(1, int(2e7) // max(1, len(self._y)))
+        chunk = max(1, min(len(X), KNN_BLOCK_BYTES // (8 * len(self._y))))
+        buf = np.empty((chunk, len(self._y)))
         for start in range(0, X.shape[0], chunk):
             block = X[start : start + chunk]
-            d2 = train_sq - 2.0 * block @ self._X.T
+            m = len(block)
+            d2 = np.matmul(2.0 * block, self._X.T, out=buf[:m])
+            np.subtract(train_sq, d2, out=d2)
+            # the ranking does not need the query norm, but its rounding decides near-ties
             d2 += np.einsum("ij,ij->i", block, block)[:, None]
             if k == 1:
                 nearest = np.argmin(d2, axis=1)
-                np.add.at(counts, (np.arange(start, start + len(block)), self._y[nearest]), 1.0)
+                counts[np.arange(start, start + m), self._y[nearest]] = 1.0
             else:
                 nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
                 votes = self._y[nearest]
                 for j in range(self.c):
-                    counts[start : start + len(block), j] = np.sum(votes == j, axis=1)
+                    counts[start : start + m, j] = np.sum(votes == j, axis=1)
         return (counts + 1.0) / (k + self.c)
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from labelnoise.cli import (
     REPORT_CSV_HEADER,
     SIMULATE_CSV_HEADER,
     UsageError,
+    build_parser,
+    cmd_simulate,
     main,
     parse_grid,
 )
@@ -482,16 +485,34 @@ def test_simulate_oracle_small_grid(tmp_path, capsys):
     assert "max deviations" in capsys.readouterr().out
 
 
-def test_simulate_respects_thread_cap(tmp_path, monkeypatch):
-    argv = ["simulate", "--classes", "4", "--dims", "3", "--samples", "2000",
-            "--grid", "0.1,0.4"]
+@pytest.mark.parametrize("learner", ["oracle", "knn"])
+def test_simulate_respects_thread_cap(tmp_path, monkeypatch, learner):
+    argv = ["simulate", "--learner", learner, "--classes", "4", "--dims", "3",
+            "--samples", "2000", "--grid", "0.1,0.4"]
     monkeypatch.setenv("LABNOISE_THREADS", "1")
     assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
     monkeypatch.setenv("LABNOISE_THREADS", "2")
     assert main(argv + ["--out", str(tmp_path / "pooled")]) == 0
-    assert (tmp_path / "serial/simulate.csv").read_bytes() == (
-        tmp_path / "pooled/simulate.csv"
-    ).read_bytes()
+    # resolved_config.json records --out, so it differs by construction
+    names = ["confusion_000.csv", "confusion_001.csv", "simulate.csv"]
+    assert sorted(p.name for p in (tmp_path / "serial").glob("*.csv")) == names
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == (
+            tmp_path / "pooled" / name
+        ).read_bytes()
+
+
+@pytest.mark.parametrize("learner", ["oracle", "knn"])
+def test_simulate_builds_the_matrix_once_per_point(tmp_path, learner):
+    args = build_parser().parse_args(
+        ["simulate", "--learner", learner, "--classes", "4", "--grid", "0.75",
+         "--samples", "400", "--out", str(tmp_path / "sim")]
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cmd_simulate(args) == 0
+    built = [w for w in caught if str(w.message).startswith("symmetric ratio 0.75 >= (c-1)/c")]
+    assert len(built) == 1
 
 
 def test_simulate_knn_runs(tmp_path):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_relative_gradient_error
+from labelnoise import learners
 from labelnoise.data import BlobSpec, LabeledDataset, corrupt_dataset, make_blobs
 from labelnoise.learners import (
     DIVERGENCE_LIMIT,
@@ -274,8 +277,15 @@ def naive_knn_probs(train_X, train_y, X, k, c):
     return probs
 
 
-@pytest.mark.parametrize("k", [1, 3, 7])
-def test_knn_matches_naive_reference(k):
+@pytest.mark.parametrize(
+    "k, block_bytes",
+    [(1, None), (3, None), (7, None), (1, 8 * 60 * 7), (3, 8 * 60 * 7), (7, 8 * 60 * 7)],
+    ids=["1", "3", "7", "1-blocks7", "3-blocks7", "7-blocks7"],
+)
+def test_knn_matches_naive_reference(k, block_bytes, monkeypatch):
+    if block_bytes is not None:
+        # 7-row blocks over 60 training rows: the 25 queries run as 7, 7, 7, 4
+        monkeypatch.setattr(learners, "KNN_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(33)
     train_X = rng.standard_normal((60, 3))
     train_y = rng.integers(0, 4, size=60)
@@ -284,6 +294,21 @@ def test_knn_matches_naive_reference(k):
     np.testing.assert_allclose(
         learner.predict_proba(X), naive_knn_probs(train_X, train_y, X, k, 4)
     )
+
+
+def test_knn_peak_memory_is_bounded_by_the_block_size():
+    rng = np.random.default_rng(5)
+    train_X = rng.standard_normal((20_000, 10))
+    train_y = rng.integers(0, 4, size=20_000)
+    learner = KnnLearner(k=1).train(knn_trainset(train_X, train_y, c=4))
+    X = rng.standard_normal((2_000, 10))
+    tracemalloc.start()
+    try:
+        learner.predict_proba(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * learners.KNN_BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
