@@ -6,6 +6,12 @@ A dataset directory holds two files:
                  floats written with 17 significant digits so a round trip
                  is bit-exact, labels as base-10 integers
   manifest.json  {"n", "d", "c", "noise", "blob", "schema_version": 1}
+
+`load` parses the body of data.csv in one vectorised np.loadtxt pass and
+falls back to a row-by-row parser wherever numpy could read the file
+differently from Python's int() and float(); both accept the same files and
+give the same arrays. A blank line, a comment line or any other malformed
+row is rejected with a SchemaError that names its line.
 """
 
 from __future__ import annotations
@@ -229,16 +235,43 @@ def format_float(x) -> str:
 def write_csv(path: Path, header, rows) -> None:
     """The one CSV table writer, for datasets and every CLI artifact: float
     cells (numpy included) with format_float, every other cell with str. A
-    None header writes the rows alone."""
+    None header writes the rows alone.
+
+    A row of floats, ints (numpy included), bools and None needs no csv
+    quoting, so it is written with one %-format cached per tuple of cell
+    types; any other row goes through csv.writer."""
+    formats = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header is not None:
             writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [format_float(v) if isinstance(v, (float, np.floating)) else str(v)
-                 for v in row]
-            )
+            cells = tuple(row)
+            types = tuple(map(type, cells))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = _row_format(types)
+            if fmt:
+                fh.write(fmt % cells)
+            else:
+                writer.writerow(
+                    [format_float(v) if isinstance(v, (float, np.floating)) else str(v)
+                     for v in cells]
+                )
+
+
+def _row_format(types) -> str:
+    """The %-format that writes a row of these cell types exactly as
+    csv.writer would, or "" when a cell might need quoting."""
+    specs = []
+    for t in types:
+        if issubclass(t, (float, np.floating)):
+            specs.append("%.17g")  # format_float
+        elif t in (int, bool, type(None)) or issubclass(t, np.integer):
+            specs.append("%s")  # str(v)
+        else:
+            return ""
+    return ",".join(specs) + "\n"
 
 
 def save(D: LabeledDataset, path: str | Path) -> None:
@@ -292,10 +325,10 @@ def load(path: str | Path) -> LabeledDataset:
         except KeyError as exc:
             raise SchemaError(f"manifest.json: missing field '{key}.{exc.args[0]}'") from None
 
-    with open(path / "data.csv", newline="") as fh:
-        reader = csv.reader(fh)
+    csv_path = path / "data.csv"
+    with open(csv_path, newline="") as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise SchemaError("data.csv is empty", line=1)
         expected = ["id"] + [f"f{j}" for j in range(d)] + ["observed_label"]
@@ -305,29 +338,10 @@ def load(path: str | Path) -> LabeledDataset:
             if missing:
                 raise SchemaError(f"missing column(s) {missing}", line=1)
             raise SchemaError(f"unexpected header {header}", line=1)
-
-        width = len(expected) + (1 if has_true else 0)
-        ids = np.empty(n, dtype=np.int64)
-        features = np.empty((n, d))
-        observed = np.empty(n, dtype=np.int64)
-        true = np.empty(n, dtype=np.int64) if has_true else None
-        t = 0
-        for lineno, row in enumerate(reader, start=2):
-            if t >= n:
-                raise SchemaError(f"more than the {n} rows declared in manifest", line=lineno)
-            if len(row) != width:
-                raise SchemaError(f"expected {width} fields, got {len(row)}", line=lineno)
-            try:
-                ids[t] = int(row[0])
-                features[t] = [float(v) for v in row[1 : 1 + d]]
-                observed[t] = int(row[1 + d])
-                if true is not None:
-                    true[t] = int(row[2 + d])
-            except ValueError as exc:
-                raise SchemaError(str(exc), line=lineno) from exc
-            t += 1
-    if t != n:
-        raise SchemaError(f"manifest declares n={n} but data.csv has {t} rows")
+        columns = _parse_vectorised(fh, n, d, has_true)
+    if columns is None:
+        columns = _parse_rows(csv_path, n, d, has_true)
+    ids, features, observed, true = columns
 
     # value checks run vectorised after the parse; the first bad row names
     # the line (row 0 is line 2, after the header)
@@ -355,3 +369,79 @@ def load(path: str | Path) -> LabeledDataset:
         noise=specs["noise"],
         blob=specs["blob"],
     )
+
+
+def _parse_vectorised(fh, n: int, d: int, has_true: bool):
+    """The rest of `fh` (the rows of data.csv) in one np.loadtxt pass, or
+    None where the row parser must decide: a parse error, or input that
+    numpy may read differently from int() and float(). That covers a line
+    count other than n, a blank line (loadtxt would skip it, and warn when
+    no data is left), a non-ASCII line (numpy reads some letters as digits)
+    and the characters \\x1c-\\x1f (numpy strips them as whitespace).
+    With those out, each line is one row. At n = 0 loadtxt would warn
+    about empty input, so that goes to the row parser too."""
+    if n == 0:
+        return None
+
+    def lines():
+        count = 0
+        for line in fh:
+            count += 1
+            if (
+                count > n
+                or line.isspace()
+                or not line.isascii()
+                or "\x1c" in line
+                or "\x1d" in line
+                or "\x1e" in line
+                or "\x1f" in line
+            ):
+                raise ValueError("left to the row parser")
+            yield line
+        if count < n:
+            raise ValueError("left to the row parser")
+
+    fields = [("id", np.int64), ("f", np.float64, (d,)), ("obs", np.int64)]
+    if has_true:
+        fields.append(("true", np.int64))
+    try:
+        table = np.loadtxt(lines(), dtype=fields, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return (
+        table["id"].copy(),
+        table["f"].copy(),
+        table["obs"].copy(),
+        table["true"].copy() if has_true else None,
+    )
+
+
+def _parse_rows(csv_path: Path, n: int, d: int, has_true: bool):
+    """data.csv row by row with int() and float(); every malformed row
+    raises a SchemaError that names its line."""
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, checked by load
+        width = d + (3 if has_true else 2)
+        ids = np.empty(n, dtype=np.int64)
+        features = np.empty((n, d))
+        observed = np.empty(n, dtype=np.int64)
+        true = np.empty(n, dtype=np.int64) if has_true else None
+        t = 0
+        for lineno, row in enumerate(reader, start=2):
+            if t >= n:
+                raise SchemaError(f"more than the {n} rows declared in manifest", line=lineno)
+            if len(row) != width:
+                raise SchemaError(f"expected {width} fields, got {len(row)}", line=lineno)
+            try:
+                ids[t] = int(row[0])
+                features[t] = [float(v) for v in row[1 : 1 + d]]
+                observed[t] = int(row[1 + d])
+                if true is not None:
+                    true[t] = int(row[2 + d])
+            except ValueError as exc:
+                raise SchemaError(str(exc), line=lineno) from exc
+            t += 1
+    if t != n:
+        raise SchemaError(f"manifest declares n={n} but data.csv has {t} rows")
+    return ids, features, observed, true

@@ -13,15 +13,10 @@ class StubLearner(Learner):
     loss, so loss-ranking behavior can be scripted exactly.
     """
 
-    kind = "stub"
-
     def __init__(self, c: int):
         self.c = c
 
-    def reinitialize(self) -> None:
-        pass
-
-    def train(self, D, epochs=None) -> "StubLearner":
+    def train(self, D) -> "StubLearner":
         return self
 
     def predict_proba(self, features, true_labels=None) -> np.ndarray:

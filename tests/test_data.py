@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labelnoise import data as data_mod
 from labelnoise.data import (
     BlobSpec,
     LabeledDataset,
@@ -15,6 +17,7 @@ from labelnoise.data import (
     save,
     split_half,
     split_per_class,
+    write_csv,
 )
 from labelnoise.noise import NoiseSpec, actual_noise_ratio, random_diagonal_dominant
 
@@ -180,6 +183,31 @@ def test_save_writes_golden_bytes(tmp_path):
     )
 
 
+def test_write_csv_golden_bytes_across_cell_types(tmp_path):
+    # cell types change from row to row, so each row takes its own format;
+    # rows with a str cell go through csv quoting
+    rows = [
+        [0.1, float("nan"), float("inf"), -float("inf"), -0.0, np.float32(0.1), np.float64(1e-310)],
+        [1, np.int64(-7), True, False, None, np.int32(5), 2**70],
+        ["a,b", 'say "hi"', "two\nlines", 2.5, 3, "plain"],
+        [np.float32(1 / 3), 0.5, np.uint8(200), -1],
+        [""],
+        [],
+        [np.float64(-0.0), np.nan],
+    ]
+    write_csv(tmp_path / "t.csv", ["col,1", "b"], rows)
+    assert (tmp_path / "t.csv").read_bytes() == (
+        b'"col,1",b\n'
+        b"0.10000000000000001,nan,inf,-inf,-0,0.10000000149011612,9.9999999999999694e-311\n"
+        b"1,-7,True,False,None,5,1180591620717411303424\n"
+        b'"a,b","say ""hi""","two\nlines",2.5,3,plain\n'
+        b"0.3333333432674408,0.5,200,-1\n"
+        b'""\n'
+        b"\n"
+        b"-0,nan\n"
+    )
+
+
 def test_save_load_without_truth(tmp_path):
     D = blob(npc=4)
     bare = LabeledDataset(
@@ -245,6 +273,116 @@ def test_load_rejects_bad_values_with_line(tmp_path, column, value):
     with pytest.raises(SchemaError, match="line 5") as excinfo:
         load(tmp_path / "ds")
     assert excinfo.value.line == 5
+
+
+_CONTRACT_ROWS = ["id,f0,f1,observed_label,true_label", "0,0.5,-1.25,0,0", "1,2,3,1,2", "2,0.125,4,2,2"]
+_CONTRACT_FEATURES = [[0.5, -1.25], [2.0, 3.0], [0.125, 4.0]]
+
+
+def _second_row(text):
+    return _CONTRACT_ROWS[:2] + [text] + _CONTRACT_ROWS[3:]
+
+
+def _inserted(text):
+    return _CONTRACT_ROWS[:2] + [text] + _CONTRACT_ROWS[2:]
+
+
+@pytest.mark.parametrize(
+    "lines, newline, expected",
+    [
+        (_inserted(""), "\n", (3, "line 3: expected 5 fields, got 0")),
+        (_CONTRACT_ROWS[:1] + [""] * 3, "\n", (2, "line 2: expected 5 fields, got 0")),
+        (_CONTRACT_ROWS[:3], "\n", (None, "manifest declares n=3 but data.csv has 2 rows")),
+        (_CONTRACT_ROWS + [""], "\n", (5, "line 5: more than the 3 rows declared in manifest")),
+        (_inserted("   "), "\n", (3, "line 3: expected 5 fields, got 1")),
+        (_inserted("# a comment"), "\n", (3, "line 3: expected 5 fields, got 1")),
+        (_second_row("#1,2,3,1,2"), "\n", (3, "line 3: invalid literal for int() with base 10: '#1'")),
+        (_second_row('1,"2",3,1,2'), "\n", _CONTRACT_FEATURES),
+        (_second_row(" 1 , 2 ,3 ,1 , 2 "), "\n", _CONTRACT_FEATURES),
+        (_second_row("+1,2,3,1,2"), "\n", _CONTRACT_FEATURES),
+        (_second_row("1.0,2,3,1,2"), "\n", (3, "line 3: invalid literal for int() with base 10: '1.0'")),
+        (_second_row("1,1_0,3,1,2"), "\n", [[0.5, -1.25], [10.0, 3.0], [0.125, 4.0]]),
+        (_CONTRACT_ROWS, "\r\n", _CONTRACT_FEATURES),
+        (_second_row("1,1e-400,4.9e-324,1,2"), "\n", [[0.5, -1.25], [0.0, 5e-324], [0.125, 4.0]]),
+        # numpy would read this letter as the integer 462
+        (_second_row("\u01fe,2,3,1,2"), "\n", (3, "line 3: invalid literal for int() with base 10: '\u01fe'")),
+        # Python reads Arabic-Indic digits, numpy does not
+        (_second_row("1,\u0662,3,1,2"), "\n", _CONTRACT_FEATURES),
+        # numpy strips \x1c-\x1f as whitespace, float() does not
+        (_second_row("1,2\x1f,3,1,2"), "\n", (3, "line 3: could not convert string to float: '2\\x1f'")),
+    ],
+    ids=[
+        "blank-line", "blank-body", "short-body", "trailing-blank-line", "whitespace-line", "comment-line",
+        "comment-row", "quoted-number", "space-padded", "plus-id", "float-id",
+        "underscore-digits", "crlf", "underflow-and-subnormal", "non-ascii-id",
+        "non-ascii-digit", "unit-separator",
+    ],
+)
+def test_load_contract_matches_the_row_parser(tmp_path, lines, newline, expected):
+    # each expectation is what the row-by-row parser alone gives; numpy
+    # must warn about nothing on the way
+    ds = tmp_path / "ds"
+    save(LabeledDataset(features=np.zeros((3, 2)), observed_labels=[0, 1, 2],
+                        ids=[0, 1, 2], c=3, true_labels=[0, 2, 2]), ds)
+    (ds / "data.csv").write_text(newline.join(lines) + newline, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected, tuple):
+            with pytest.raises(SchemaError) as excinfo:
+                load(ds)
+            assert (excinfo.value.line, str(excinfo.value)) == expected
+        else:
+            back = load(ds)
+            assert back.features.tolist() == expected
+            assert back.ids.tolist() == [0, 1, 2]
+            assert back.observed_labels.tolist() == [0, 1, 2]
+            assert back.true_labels.tolist() == [0, 2, 2]
+
+
+def test_load_parses_a_written_file_in_one_vectorised_pass(tmp_path, monkeypatch):
+    def row_parser(*args):
+        raise AssertionError("fell back to the row parser")
+
+    monkeypatch.setattr(data_mod, "_parse_rows", row_parser)
+    D = corrupt_dataset(blob(npc=30), NoiseSpec(kind="symmetric", ratio=0.3, seed=2))
+    save(D, tmp_path / "ds")
+    back = load(tmp_path / "ds")
+    assert np.array_equal(back.features, D.features)
+    assert back.features.flags.c_contiguous and back.ids.flags.c_contiguous
+
+
+def test_empty_dataset_round_trip_emits_no_warning(tmp_path):
+    D = LabeledDataset(features=np.zeros((0, 3)), observed_labels=[], ids=[], c=2,
+                       true_labels=[])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        save(D, tmp_path / "ds")
+        back = load(tmp_path / "ds")
+    assert back.n == 0 and back.d == 3 and back.true_labels.shape == (0,)
+
+
+_float_bits = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    # subnormals: a zero exponent under either sign
+    st.integers(min_value=0, max_value=2**52 - 1).map(lambda m: m | (2**63 * (m & 1))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(_float_bits, min_size=2, max_size=40))
+def test_save_load_round_trips_float_bit_patterns(bits, tmp_path_factory):
+    features = np.array(bits, dtype=np.uint64).view(np.float64)
+    features[~np.isfinite(features)] = 0.0
+    features = features[: len(features) // 2 * 2].reshape(-1, 2)
+    D = LabeledDataset(features=features, observed_labels=np.zeros(len(features)),
+                       ids=np.arange(len(features)), c=2)
+    ds = tmp_path_factory.mktemp("ds") / "ds"
+    save(D, ds)
+    back = load(ds)
+    assert np.array_equal(back.features.view(np.uint64), features.view(np.uint64))
+    # the row-by-row parser, kept as the reference, reads the same bits
+    ref = data_mod._parse_rows(ds / "data.csv", D.n, D.d, False)
+    assert np.array_equal(ref[1].view(np.uint64), features.view(np.uint64))
 
 
 def test_load_rejects_unknown_schema_version(tmp_path):
