@@ -107,11 +107,13 @@ def estimate_epsilon_symmetric(observed_accuracy: float, c: int) -> float:
     A = c / (c - 1)
     radicand = 1.0 - A * (1.0 - observed_accuracy)
     if radicand < 0.0:
-        warnings.warn(
-            f"observed accuracy {observed_accuracy} is below the theoretical "
-            f"minimum 1/c = {1.0 / c}; clamping estimate to (c-1)/c",
-            stacklevel=2,
-        )
+        # rounding alone can make the radicand negative at a = 1/c
+        if observed_accuracy < 1.0 / c:
+            warnings.warn(
+                f"observed accuracy {observed_accuracy} is below the theoretical "
+                f"minimum 1/c = {1.0 / c}; clamping estimate to (c-1)/c",
+                stacklevel=2,
+            )
         radicand = 0.0
     return (1.0 - np.sqrt(radicand)) / A
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -107,6 +109,15 @@ def test_estimate_epsilon_symmetric_clamps_below_uniform_accuracy():
     with pytest.warns(UserWarning):
         est = estimate_epsilon_symmetric(0.05, 10)
     assert est == pytest.approx(0.9)
+
+
+def test_estimate_epsilon_symmetric_does_not_warn_at_the_vertex():
+    # accuracy exactly 1/c is attainable, not below the minimum, even where
+    # rounding makes the radicand negative (c = 7, 27, 29)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in range(2, 31):
+            assert estimate_epsilon_symmetric(1.0 / c, c) == pytest.approx((c - 1) / c)
 
 
 def test_estimate_epsilon_asymmetric_clamps_below_half():
