@@ -3,8 +3,10 @@
 Both learners see the same mini-batch stream; each ranks the batch by
 its own per-sample loss, keeps the scheduled number of smallest-loss
 samples, and is updated by one SGD step on the subset the OTHER learner
-kept. Warm-up epochs draw batches from the selected set only; afterwards
-each batch is a selected-set batch joined with a candidate-set batch.
+kept. Both learners step together, from the same pre-step parameters,
+as one SoftmaxPair call. Warm-up epochs draw batches from the selected
+set only; afterwards each batch is a selected-set batch joined with a
+candidate-set batch.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import LabeledDataset
-from .learners import LearnerFactory, SoftmaxLearner
+from .learners import LearnerFactory, SoftmaxLearner, SoftmaxPair
 from .selection import selection_metrics
 from .theory import theory_point
 
@@ -132,12 +134,15 @@ class _CyclingSampler:
         return out
 
 
-def _clean_accuracy(learner, D: Optional[LabeledDataset]) -> float:
-    """Test accuracy against the true labels when the test set has them."""
+def _clean_accuracies(pair: SoftmaxPair, D: Optional[LabeledDataset]) -> tuple[float, float]:
+    """Test accuracy of both learners against the true labels when the
+    test set has them."""
     if D is None:
-        return float("nan")
+        return float("nan"), float("nan")
     labels = D.observed_labels if D.true_labels is None else D.true_labels
-    return float(np.mean(learner.predict_dataset(D) == labels))
+    hits = np.argmax(pair.predict_proba(D.features), axis=-1) == labels
+    acc1, acc2 = np.mean(hits, axis=-1)
+    return float(acc1), float(acc2)
 
 
 def cotrain(
@@ -152,10 +157,11 @@ def cotrain(
     """Run the exchange loop; returns (f1, f2, CoTrainReport).
 
     The two learners come from learner_factory(seed) and factory(seed+1)
-    and must be SoftmaxLearners. They see only observed labels; true
-    labels are read only to score clean_test. Keep sets are computed for
-    both learners before either update; f1 steps on f2's kept subset
-    first, then f2 on f1's. The reported n_e is the schedule value at the
+    and must be SoftmaxLearners of one (c, d, hidden). They see only
+    observed labels; true labels are read only to score clean_test. Keep
+    sets are computed for both learners before either update; then f1
+    steps on f2's kept subset and f2 on f1's, together, from the same
+    pre-step parameters. The reported n_e is the schedule value at the
     nominal batch size; the last batch of an epoch may be smaller when |S|
     is not a multiple of the base batch.
     """
@@ -168,6 +174,7 @@ def cotrain(
     for f in (f1, f2):
         if not isinstance(f, SoftmaxLearner):
             raise TypeError(f"co-training needs gradient learners, got {type(f).__name__}")
+    pair = SoftmaxPair(f1, f2)
 
     s_stream = _CyclingSampler(S.n, np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])))
     c_stream = (
@@ -194,18 +201,18 @@ def cotrain(
                 bids = np.concatenate([bids, C.ids[c_rows]])
                 c_used += b_c
             k = keep_count(e, len(by), cfg.eps_s)
-            keep1 = np.argsort(f1.losses(bx, by), kind="stable")[:k]
-            keep2 = np.argsort(f2.losses(bx, by), kind="stable")[:k]
+            keeps = np.argsort(pair.losses(bx, by), axis=1, kind="stable")[:, :k]
             if on_batch is not None:
-                on_batch(e, b, bids, bids[keep1], bids[keep2])
-            f1.sgd_step(bx[keep2], by[keep2], lr)
-            f2.sgd_step(bx[keep1], by[keep1], lr)
+                on_batch(e, b, bids, bids[keeps[0]], bids[keeps[1]])
+            swapped = keeps[::-1]  # f1 steps on f2's keeps, f2 on f1's
+            pair.sgd_step(bx[swapped], by[swapped], lr)
+        acc_f1, acc_f2 = _clean_accuracies(pair, clean_test)
         records.append(
             EpochRecord(
                 epoch=e + 1,
                 n_e=keep_count(e, nominal, cfg.eps_s),
-                acc_f1=_clean_accuracy(f1, clean_test),
-                acc_f2=_clean_accuracy(f2, clean_test),
+                acc_f1=acc_f1,
+                acc_f2=acc_f2,
                 c_samples_used=c_used,
             )
         )

@@ -12,11 +12,17 @@ Three kinds:
   SoftmaxLearner   multinomial logistic regression, optionally with one
                    ReLU hidden layer, trained by mini-batch SGD on
                    cross-entropy; fully deterministic given its seed.
+
+Two SoftmaxLearners of one (c, d, hidden) can be joined as a SoftmaxPair:
+their parameters are stacked on a leading member axis, so one forward
+pass or SGD step serves both, with results bit-identical to two lone
+calls. Co-training and INCV's two folds train their learners this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,9 +88,13 @@ class Learner:
         true_labels: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Cross-entropy -log p(label | x) per sample, p clamped at 1e-12."""
-        probs = self.predict_proba(features, true_labels)
-        picked = probs[np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
-        return -np.log(np.clip(picked, LOSS_CLAMP, None))
+        return _nll(self.predict_proba(features, true_labels), labels)
+
+
+def _nll(probs: np.ndarray, labels) -> np.ndarray:
+    """-log p(label) per sample, p clamped; probs may carry leading axes."""
+    picked = probs[..., np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
+    return -np.log(np.clip(picked, LOSS_CLAMP, None))
 
 
 # --------------------------------------------------------------------------
@@ -213,6 +223,74 @@ class KnnLearner(Learner):
 
 # --------------------------------------------------------------------------
 # softmax classifier trained by SGD
+#
+# The math below is rank-agnostic: (n, d) inputs with a lone learner's 2-D
+# parameters, or parameters stacked on a leading member axis with either
+# (n, d) inputs that every member sees or (m, n, d) inputs, member i's batch
+# being X[i]. Each member's part is the same BLAS call and reduction as its
+# lone call, so the results match bit for bit.
+
+
+def _forward(params, hidden, X):
+    """(hidden ReLU activation or None, logits)."""
+    if hidden is None:
+        return None, X @ params["w"] + params["b"][..., None, :]
+    act = np.maximum(X @ params["w1"] + params["b1"][..., None, :], 0.0)
+    return act, act @ params["w2"] + params["b2"][..., None, :]
+
+
+def _feature_matrix(features, d: int) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if X.shape[1] != d:
+        raise ValueError(f"expected {d} features, got {X.shape[1]}")
+    return X
+
+
+def _probabilities(params, hidden, X):
+    _, logits = _forward(params, hidden, X)
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _loss_and_grad(params, hidden, X, y):
+    """Mean cross-entropy per batch and its analytic gradient."""
+    act, logits = _forward(params, hidden, X)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    log_probs = shifted - log_z[..., None]
+    n, c = log_probs.shape[-2:]
+    pick = (np.arange(y.size), y.ravel())
+    # sum / n is what ndarray.mean computes, without its Python-level overhead
+    loss = -log_probs.reshape(-1, c)[pick].reshape(y.shape).sum(axis=-1) / n
+
+    dlogits = np.exp(log_probs)
+    dlogits.reshape(-1, c)[pick] -= 1.0
+    dlogits /= n
+    if hidden is None:
+        return loss, {"w": X.swapaxes(-1, -2) @ dlogits, "b": dlogits.sum(axis=-2)}
+    dpre = (dlogits @ params["w2"].swapaxes(-1, -2)) * (act > 0.0)
+    return loss, {
+        "w1": X.swapaxes(-1, -2) @ dpre,
+        "b1": dpre.sum(axis=-2),
+        "w2": act.swapaxes(-1, -2) @ dlogits,
+        "b2": dlogits.sum(axis=-2),
+    }
+
+
+def _check_loss(loss, who: str = "") -> None:
+    if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+        raise DivergenceError(f"{who}batch loss {loss} is not finite or exceeds limit")
+
+
+def _schedule(n: int, cfg: TrainConfig):
+    """Row positions of each SGD batch: cfg.epochs passes over a fresh
+    permutation from one default_rng(cfg.seed + 1)."""
+    rng = np.random.default_rng(cfg.seed + 1)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            yield order[start : start + cfg.batch_size]
 
 
 class SoftmaxLearner(Learner):
@@ -242,76 +320,42 @@ class SoftmaxLearner(Learner):
                 "b2": s * rng.standard_normal(c),
             }
 
-    def _forward(self, X: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """(hidden ReLU activation or None, logits)."""
-        if self.hidden is None:
-            return None, X @ self.params["w"] + self.params["b"]
-        act = np.maximum(X @ self.params["w1"] + self.params["b1"], 0.0)
-        return act, act @ self.params["w2"] + self.params["b2"]
+    @property
+    def arch(self) -> tuple[int, int, Optional[int]]:
+        """(c, d, hidden): learners that share it can be paired."""
+        return self.c, self.d, self.hidden
 
     def predict_proba(self, features, true_labels=None) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if X.shape[1] != self.d:
-            raise ValueError(f"expected {self.d} features, got {X.shape[1]}")
-        _, logits = self._forward(X)
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
+        return _probabilities(self.params, self.hidden, _feature_matrix(features, self.d))
 
     def loss_and_grad(
         self, X: np.ndarray, y: np.ndarray
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean cross-entropy over the batch and its analytic gradient."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.int64)
-        n = len(y)
-        act, logits = self._forward(X)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1))
-        log_probs = shifted - log_z[:, None]
-        loss = float(-log_probs[np.arange(n), y].mean())
-
-        dlogits = np.exp(log_probs)
-        dlogits[np.arange(n), y] -= 1.0
-        dlogits /= n
-        if self.hidden is None:
-            grads = {"w": X.T @ dlogits, "b": dlogits.sum(axis=0)}
-        else:
-            dact = dlogits @ self.params["w2"].T
-            dpre = dact * (act > 0.0)
-            grads = {
-                "w1": X.T @ dpre,
-                "b1": dpre.sum(axis=0),
-                "w2": act.T @ dlogits,
-                "b2": dlogits.sum(axis=0),
-            }
-        return loss, grads
+        return _loss_and_grad(self.params, self.hidden, X, np.asarray(y, dtype=np.int64))
 
     def sgd_step(self, X: np.ndarray, y: np.ndarray, lr: float) -> float:
         loss, grads = self.loss_and_grad(X, y)
-        if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"batch loss {loss} is not finite or exceeds limit")
+        _check_loss(loss)
         for name, g in grads.items():
             self.params[name] -= lr * g
         return loss
 
     def train(self, D: LabeledDataset) -> "SoftmaxLearner":
-        rng = np.random.default_rng(self.cfg.seed + 1)
-        for _ in range(self.cfg.epochs):
-            order = rng.permutation(D.n)
-            for start in range(0, D.n, self.cfg.batch_size):
-                rows = order[start : start + self.cfg.batch_size]
-                self.sgd_step(D.features[rows], D.observed_labels[rows], self.cfg.learning_rate)
+        for rows in _schedule(D.n, self.cfg):
+            self.sgd_step(D.features[rows], D.observed_labels[rows], self.cfg.learning_rate)
         return self
 
     def flat_params(self) -> np.ndarray:
         return np.concatenate([self.params[k].ravel() for k in sorted(self.params)])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
+        """Overwrite the parameters in place, so a pairing stays intact."""
         offset = 0
         for k in sorted(self.params):
             size = self.params[k].size
-            self.params[k] = flat[offset : offset + size].reshape(self.params[k].shape).copy()
+            self.params[k][...] = flat[offset : offset + size].reshape(self.params[k].shape)
             offset += size
 
     def flat_grad(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -320,6 +364,65 @@ class SoftmaxLearner(Learner):
 
     def mean_loss(self, X: np.ndarray, y: np.ndarray) -> float:
         return self.loss_and_grad(X, y)[0]
+
+
+class SoftmaxPair:
+    """Two SoftmaxLearners of one arch that forward and step as one.
+
+    Their parameters are stacked on a leading member axis, and each
+    learner's params are rebound as views into the stacks: a pair step
+    updates both, while each learner still predicts, flattens and steps
+    on its own. Outputs carry the member axis first.
+    """
+
+    def __init__(self, f1: SoftmaxLearner, f2: SoftmaxLearner):
+        if f1.arch != f2.arch:
+            raise TypeError(
+                f"paired learners need one (c, d, hidden), got {f1.arch} and {f2.arch}"
+            )
+        self.members = (f1, f2)
+        self.d, self.hidden = f1.d, f1.hidden
+        self.params = {k: np.stack([f1.params[k], f2.params[k]]) for k in f1.params}
+        for i, f in enumerate(self.members):
+            f.params = {k: v[i] for k, v in self.params.items()}
+
+    def predict_proba(self, features) -> np.ndarray:
+        """(2, n, c) probabilities of both members on the same rows."""
+        return _probabilities(self.params, self.hidden, _feature_matrix(features, self.d))
+
+    def losses(self, features, labels) -> np.ndarray:
+        """(2, n) per-sample cross-entropy of both members, as Learner.losses."""
+        return _nll(self.predict_proba(features), labels)
+
+    def sgd_step(self, X: np.ndarray, y: np.ndarray, lr: float) -> np.ndarray:
+        """Step member i on (X[i], y[i]); both losses are checked before
+        either member is updated."""
+        losses, grads = _loss_and_grad(self.params, self.hidden, X, y)
+        for i, loss in enumerate(losses):
+            _check_loss(loss, f"learner {i + 1} of the pair: ")
+        for name, g in grads.items():
+            self.params[name] -= lr * g
+        return losses
+
+    def train(self, features: np.ndarray, labels: np.ndarray, rows) -> "SoftmaxPair":
+        """Member i's train() on rows[i] of (features, labels).
+
+        Each member follows its own batch schedule. Batch j of both is one
+        stacked step when the two have the same size and learning rate;
+        otherwise each is stepped alone.
+        """
+        f1, f2 = self.members
+        same_lr = f1.cfg.learning_rate == f2.cfg.learning_rate
+        schedules = [_schedule(len(r), f.cfg) for f, r in zip(self.members, rows)]
+        for b1, b2 in zip_longest(*schedules):
+            if same_lr and b1 is not None and b2 is not None and len(b1) == len(b2):
+                picked = np.stack([rows[0][b1], rows[1][b2]])
+                self.sgd_step(features[picked], labels[picked], f1.cfg.learning_rate)
+                continue
+            for f, r, b in zip(self.members, rows, (b1, b2)):
+                if b is not None:
+                    f.sgd_step(features[r[b]], labels[r[b]], f.cfg.learning_rate)
+        return self
 
 
 # --------------------------------------------------------------------------

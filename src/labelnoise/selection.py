@@ -1,8 +1,9 @@
 """Cross-validation selection of clean samples from noisily labeled data.
 
 One engine drives both algorithms. Each pass splits the remaining
-candidates in half, trains a fresh learner per fold, and keeps the
-opposite fold's samples whose observed label the learner reproduces.
+candidates in half, trains a fresh learner per fold (softmax fold
+learners side by side, as one SoftmaxPair), and keeps the opposite
+fold's samples whose observed label the learner reproduces.
 The single-pass form estimates the noise ratio from the selection rate;
 the iterative form repeats the pass on the shrinking candidate set while
 also discarding the largest-loss disagreeing samples.
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset, split_half
-from .learners import LearnerFactory
+from .learners import LearnerFactory, SoftmaxLearner, SoftmaxPair
 from .theory import estimate_epsilon_asymmetric, estimate_epsilon_symmetric
 
 
@@ -132,22 +133,31 @@ def _iteration_seeds(seed: int, iteration: int) -> tuple[int, int, int]:
     return int(state[0]), int(state[1]), int(state[2])
 
 
-def _fold_pass(
-    D: LabeledDataset,
-    train_ids: np.ndarray,
-    eval_fold: LabeledDataset,
-    learner_factory: LearnerFactory,
-    fold_seed: int,
-    remove_ratio: float,
+def _train_folds(D: LabeledDataset, learners, train_ids) -> None:
+    """Train learner i on the rows of D whose id is in train_ids[i].
+
+    Softmax learners of one arch train as a SoftmaxPair, reading their
+    batches from D by row position; any other learners train alone on
+    their subset.
+    """
+    f1, f2 = learners
+    if isinstance(f1, SoftmaxLearner) and isinstance(f2, SoftmaxLearner) and f1.arch == f2.arch:
+        rows = [np.flatnonzero(np.isin(D.ids, ids)) for ids in train_ids]
+        SoftmaxPair(f1, f2).train(D.features, D.observed_labels, rows)
+        return
+    for learner, ids in zip(learners, train_ids):
+        learner.train(D.subset(ids))
+
+
+def _fold_outcome(
+    learner, eval_fold: LabeledDataset, remove_ratio: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Train on train_ids, select agreeing ids of eval_fold, pick removals.
+    """Select agreeing ids of eval_fold and pick removals.
 
     Returns (selected ids, removed ids, agreement rate). Removals are the
     floor(r * |selected|) largest-loss disagreeing samples, losses under
     the observed labels, ties broken by ascending id.
     """
-    learner = learner_factory(fold_seed)
-    learner.train(D.subset(train_ids))
     agree = learner.predict_dataset(eval_fold) == eval_fold.observed_labels
     selected = eval_fold.ids[agree]
     removed = np.empty(0, dtype=np.int64)
@@ -211,12 +221,10 @@ def incv(
         split_seed, seed1, seed2 = _iteration_seeds(seed, iteration)
         C1, C2 = split_half(D.subset(candidate), seed=split_seed)
         r_now = 0.0 if (auto_r and iteration == 1) else remove_ratio
-        s1, r1, acc1 = _fold_pass(
-            D, np.union1d(selected, C1.ids), C2, learner_factory, seed1, r_now
-        )
-        s2, r2, acc2 = _fold_pass(
-            D, np.union1d(selected, C2.ids), C1, learner_factory, seed2, r_now
-        )
+        f1, f2 = learner_factory(seed1), learner_factory(seed2)
+        _train_folds(D, (f1, f2), (np.union1d(selected, C1.ids), np.union1d(selected, C2.ids)))
+        s1, r1, acc1 = _fold_outcome(f1, C2, r_now)
+        s2, r2, acc2 = _fold_outcome(f2, C1, r_now)
         if iteration == 1:
             rate = (len(s1) + len(s2)) / len(candidate)
             if noise_kind == "symmetric":

@@ -19,7 +19,13 @@ from labelnoise.cotraining import (
     resolve_eps_s,
 )
 from labelnoise.data import BlobSpec, corrupt_dataset, make_blobs, split_per_class
-from labelnoise.learners import DivergenceError, TrainConfig, knn_factory, softmax_factory
+from labelnoise.learners import (
+    DivergenceError,
+    SoftmaxLearner,
+    TrainConfig,
+    knn_factory,
+    softmax_factory,
+)
 from labelnoise.noise import NoiseSpec
 
 
@@ -188,7 +194,8 @@ def test_resolve_eps_s_estimated_without_true_labels():
 def replay_cotrain(S, C, cfg, factory):
     """Documented algorithm, reimplemented: shared cycling batch streams,
     per-learner stable smallest-loss keeps sized by the ramp schedule,
-    cross updates (f1 steps on f2's keeps first)."""
+    cross updates (f1 steps on f2's keeps, f2 on f1's), one learner at a
+    time."""
 
     def cycler(n, rng):
         state = {"order": rng.permutation(n), "pos": 0}
@@ -324,10 +331,10 @@ def test_report_bookkeeping():
     assert report.records[11].n_e == keep_count(11, 8 + b_c, 0.4)
 
 
-def test_exchange_uses_the_other_learners_keeps():
+def test_exchange_uses_the_other_learners_keeps(monkeypatch):
     # ids equal row indices, so a step's feature rows identify the kept ids
     from labelnoise.data import LabeledDataset
-    from labelnoise.learners import SoftmaxLearner
+    from labelnoise.learners import SoftmaxPair
 
     rng = np.random.default_rng(8)
     n = 24
@@ -343,20 +350,19 @@ def test_exchange_uses_the_other_learners_keeps():
         rows = np.asarray(rows)
         return rows[np.lexsort(rows.T)]
 
+    # member i of the paired step is learner f(i+1); record the rows each one steps on
     steps = {0: [], 1: []}
+    original = SoftmaxPair.sgd_step
 
-    def recording_factory(seed):
-        index = seed - 11  # cfg.seed and cfg.seed + 1
-        learner = SoftmaxLearner(2, 3, TrainConfig(epochs=1, batch_size=8,
-                                                   learning_rate=0.01, seed=seed))
-        original = learner.sgd_step
+    def record(self, X, y, lr):
+        steps[0].append(np.array(X[0], copy=True))
+        steps[1].append(np.array(X[1], copy=True))
+        return original(self, X, y, lr)
 
-        def record(X, y, lr):
-            steps[index].append(np.array(X, copy=True))
-            return original(X, y, lr)
-
-        learner.sgd_step = record
-        return learner
+    monkeypatch.setattr(SoftmaxPair, "sgd_step", record)
+    recording_factory = softmax_factory(
+        2, 3, TrainConfig(epochs=1, batch_size=8, learning_rate=0.01)
+    )
 
     hooks = []
     cfg = cotrain_cfg(warmup_epochs=0, total_epochs=13, base_batch=8, eps_s=0.5,
@@ -387,6 +393,15 @@ def test_empty_selected_set_rejected():
 def test_non_gradient_learner_rejected():
     with pytest.raises(TypeError, match="gradient"):
         cotrain(blob_set(2), None, cotrain_cfg(), knn_factory(1))
+
+
+def test_learners_of_two_arches_rejected():
+    def factory(seed):
+        cfg = TrainConfig(epochs=1, batch_size=8, learning_rate=0.2, seed=seed)
+        return SoftmaxLearner(3, 4, cfg, hidden=None if seed == 0 else 5)
+
+    with pytest.raises(TypeError, match=r"\(3, 4, None\) and \(3, 4, 5\)"):
+        cotrain(blob_set(2), None, cotrain_cfg(seed=0), factory)
 
 
 def test_divergence_propagates():

@@ -16,6 +16,7 @@ from labelnoise.learners import (
     MissingTrueLabelsError,
     OracleLearner,
     SoftmaxLearner,
+    SoftmaxPair,
     TrainConfig,
     _row_uniforms,
     knn_factory,
@@ -405,6 +406,85 @@ def test_softmax_flat_params_round_trip():
     assert np.all(learner.flat_params() == 0.0)
     learner.set_flat_params(flat)
     assert np.array_equal(learner.flat_params(), flat)
+
+
+# ---------------------------------------------------------------------------
+# paired softmax learners
+
+
+def lone_pair(c, d, hidden, seeds=(1, 2), **cfg):
+    return [SoftmaxLearner(c, d, softmax_cfg(seed=s, **cfg), hidden) for s in seeds]
+
+
+@pytest.mark.parametrize(
+    "c, d, hidden, k",
+    [(10, 10, 32, 32), (10, 10, 32, 29), (10, 10, None, 32), (10, 32, 64, 128)],
+    ids=["desk-mlp", "desk-mlp-short-batch", "desk-linear", "scale-mlp"],
+)
+def test_paired_steps_are_bit_identical_to_two_lone_chains(c, d, hidden, k):
+    # Fails loudly on a BLAS whose batched matmul rounds differently from
+    # its 2-D matmul: co-training and INCV results would silently change.
+    rng = np.random.default_rng(k * d)
+    lone = lone_pair(c, d, hidden)
+    pair = SoftmaxPair(*lone_pair(c, d, hidden))
+    for step in range(300):
+        if step % 50 == 0:
+            probe, labels = rng.standard_normal((40, d)), rng.integers(0, c, 40)
+            stacked = pair.losses(probe, labels)
+            for i, f in enumerate(lone):
+                assert np.array_equal(stacked[i], f.losses(probe, labels))
+        X, y = rng.standard_normal((2, k, d)), rng.integers(0, c, (2, k))
+        losses = pair.sgd_step(X, y, 0.3)
+        assert [f.sgd_step(X[i], y[i], 0.3) for i, f in enumerate(lone)] == losses.tolist()
+    for f, g in zip(lone, pair.members):
+        assert np.array_equal(f.flat_params(), g.flat_params())
+
+
+def test_paired_members_keep_working_on_their_own():
+    f1, f2 = lone_pair(3, 4, 5)
+    pair = SoftmaxPair(f1, f2)
+    X = random_features(6, 4, seed=3)
+    probs = pair.predict_proba(X)
+    assert probs.shape == (2, 6, 3)
+    assert np.array_equal(probs[0], f1.predict_proba(X))
+    assert np.array_equal(probs[1], f2.predict_proba(X))
+    # a lone step and set_flat_params write through to the stacks
+    f2.sgd_step(X, np.array([0, 1, 2, 0, 1, 2]), 0.5)
+    f1.set_flat_params(np.zeros_like(f1.flat_params()))
+    probs = pair.predict_proba(X)
+    np.testing.assert_array_equal(probs[0], np.full((6, 3), 1 / 3))
+    assert np.array_equal(probs[1], f2.predict_proba(X))
+
+
+def test_pair_rejects_learners_of_another_arch():
+    with pytest.raises(TypeError, match=r"\(3, 4, 5\) and \(3, 4, None\)"):
+        SoftmaxPair(SoftmaxLearner(3, 4, softmax_cfg(), 5), SoftmaxLearner(3, 4, softmax_cfg()))
+
+
+def test_pair_divergence_names_the_member_and_updates_neither():
+    f1, f2 = lone_pair(2, 2, None, init_scale=0.0)
+    pair = SoftmaxPair(f1, f2)
+    f2.params["b"][:] = [0.0, 2 * DIVERGENCE_LIMIT]
+    before = [f.flat_params() for f in (f1, f2)]
+    with pytest.raises(DivergenceError, match="learner 2 of the pair"):
+        pair.sgd_step(np.zeros((2, 1, 2)), np.zeros((2, 1), dtype=np.int64), lr=0.1)
+    assert all(np.array_equal(b, f.flat_params()) for b, f in zip(before, (f1, f2)))
+
+
+@pytest.mark.parametrize("sizes, lrs", [((64, 64), (0.5, 0.5)), ((65, 64), (0.5, 0.5)),
+                                        ((47, 48), (0.5, 0.5)), ((64, 64), (0.5, 0.25))])
+def test_pair_train_matches_two_lone_trains(sizes, lrs, tiny_blobs):
+    # 65 vs 64 rows: 5 vs 4 batches; 47 vs 48: equal counts, short last
+    # batches of different sizes; unequal learning rates never stack
+    rng = np.random.default_rng(sum(sizes))
+    rows = [np.sort(rng.choice(tiny_blobs.n, size=m, replace=False)) for m in sizes]
+    cfgs = [softmax_cfg(epochs=3, batch_size=16, learning_rate=lr, seed=s)
+            for s, lr in zip((4, 5), lrs)]
+    lone = [SoftmaxLearner(4, 3, cfg, 6).train(tiny_blobs._take(r)) for cfg, r in zip(cfgs, rows)]
+    pair = SoftmaxPair(*[SoftmaxLearner(4, 3, cfg, 6) for cfg in cfgs])
+    pair.train(tiny_blobs.features, tiny_blobs.observed_labels, rows)
+    for f, g in zip(lone, pair.members):
+        assert np.array_equal(f.flat_params(), g.flat_params())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,16 @@ from conftest import hand_dataset, stub_factory
 from labelnoise import data as data_mod
 from labelnoise.cli import main
 from labelnoise.data import BlobSpec, LabeledDataset, corrupt_dataset, make_blobs, split_half
-from labelnoise.learners import TrainConfig, knn_factory, oracle_factory, softmax_factory
+from labelnoise.learners import (
+    DivergenceError,
+    SoftmaxLearner,
+    TrainConfig,
+    knn_factory,
+    oracle_factory,
+    softmax_factory,
+)
 from labelnoise.noise import NoiseSpec, symmetric_matrix
+from labelnoise.theory import estimate_epsilon_symmetric
 from labelnoise.selection import (
     IterationRecord,
     SelectionResult,
@@ -202,6 +211,70 @@ def test_iteration_prefixes_are_deterministic():
     assert runs[2].history[:1] == runs[0].history
     assert runs[2].history[:2] == runs[1].history
     assert runs[0].epsilon_hat == runs[1].epsilon_hat == runs[2].epsilon_hat
+
+
+def replay_incv(D, factory, iterations, seed):
+    """Documented algorithm, reimplemented with the folds run one after
+    the other: each fold learner trains alone on its own subset."""
+
+    def fold_pass(train_ids, fold, fold_seed, r):
+        learner = factory(fold_seed).train(D.subset(train_ids))
+        agree = learner.predict_labels(fold.features) == fold.observed_labels
+        kept, pool = fold.ids[agree], fold.subset(fold.ids[~agree])
+        losses = learner.losses(pool.features, pool.observed_labels)
+        order = np.lexsort((pool.ids, -losses))
+        return kept, np.sort(pool.ids[order[: int(r * len(kept))]]), float(agree.mean())
+
+    selected = removed = np.empty(0, dtype=np.int64)
+    candidate, r, eps, history = np.sort(D.ids), 0.0, 0.0, []
+    for iteration in range(1, iterations + 1):
+        split_seed, seed1, seed2 = _iteration_seeds(seed, iteration)
+        C1, C2 = split_half(D.subset(candidate), seed=split_seed)
+        s1, r1, acc1 = fold_pass(np.union1d(selected, C1.ids), C2, seed1, r)
+        s2, r2, acc2 = fold_pass(np.union1d(selected, C2.ids), C1, seed2, r)
+        if iteration == 1:
+            eps = estimate_epsilon_symmetric((len(s1) + len(s2)) / len(candidate), D.c)
+            r = eps / (1.0 - eps)
+        history.append(IterationRecord(iteration, len(s1), len(s2), len(r1), len(r2),
+                                       acc1, acc2))
+        fresh = np.concatenate([s1, s2, r1, r2])
+        selected = np.union1d(selected, np.concatenate([s1, s2]))
+        removed = np.union1d(removed, np.concatenate([r1, r2]))
+        candidate = np.setdiff1d(candidate, fresh)
+    return selected, candidate, removed, eps, tuple(history)
+
+
+@pytest.mark.parametrize(
+    "n_per_class, batch, hidden",
+    [(101, 16, None), (43, 32, None), (37, 8, 6), (30, 8, "mixed")],
+    ids=["odd-candidates", "32m-and-32m+1-rows", "hidden-layer", "mixed-arch"],
+)
+def test_softmax_incv_matches_sequential_fold_passes(n_per_class, batch, hidden):
+    # 3 x 101 = 303 candidates split 152/151; 3 x 43 = 129 split 65/64 at a
+    # batch of 32, so the folds run 3 and 2 batches per epoch. Fold learners
+    # of two arches ("mixed") cannot pair and train alone.
+    D, _ = oracle_selection_case(eps=0.3, c=3, n_per_class=n_per_class, seed=5)
+    cfg = TrainConfig(epochs=4, batch_size=batch, learning_rate=0.3)
+    if hidden == "mixed":
+        def factory(seed):
+            return SoftmaxLearner(D.c, D.d, replace(cfg, seed=seed), 4 if seed % 2 else None)
+    else:
+        factory = softmax_factory(D.c, D.d, cfg, hidden=hidden)
+    result = incv(D, factory, iterations=3, remove_ratio="auto", seed=17)
+    selected, candidate, removed, eps, history = replay_incv(D, factory, 3, seed=17)
+    assert np.array_equal(result.selected, selected)
+    assert np.array_equal(result.candidate, candidate)
+    assert np.array_equal(result.removed, removed)
+    assert result.epsilon_hat == eps
+    assert result.history == history
+    assert any(h.n_r1 + h.n_r2 > 0 for h in history)  # the removal path ran
+
+
+def test_divergence_propagates_from_incv():
+    D, _ = oracle_selection_case(n_per_class=50)
+    factory = softmax_factory(D.c, D.d, TrainConfig(epochs=3, batch_size=16, learning_rate=1e9))
+    with pytest.raises(DivergenceError):
+        incv(D, factory, iterations=2, seed=3)
 
 
 def test_no_removal_during_first_auto_pass():
