@@ -102,6 +102,15 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_table(out: Path, name: str, fmt: str, header, rows) -> None:
+    """Write rows as out/<name>.csv, or with fmt "json" as out/<name>.json,
+    a list of one header-keyed object per row."""
+    if fmt == "csv":
+        write_csv(out / f"{name}.csv", header, rows)
+    else:
+        _write_json(out / f"{name}.json", [dict(zip(header, r)) for r in rows])
+
+
 # --------------------------------------------------------------------------
 # corrupt
 
@@ -134,10 +143,7 @@ def cmd_theory(args) -> int:
     rows = [
         [args.kind, p.c, p.epsilon, p.accuracy, p.lp, p.lr, p.eps_s] for p in points
     ]
-    if args.format == "csv":
-        write_csv(out / "theory.csv", THEORY_CSV_HEADER, rows)
-    else:
-        _write_json(out / "theory.json", [dict(zip(THEORY_CSV_HEADER, r)) for r in rows])
+    _write_table(out, "theory", args.format, THEORY_CSV_HEADER, rows)
     _write_resolved_config(out, args)
     print(f"wrote {len(points)} theory points to {out}")
     return 0
@@ -208,14 +214,10 @@ def cmd_simulate(args) -> int:
         results = [_simulate_point(args, eps, i) for i, eps in enumerate(grid)]
 
     rows = [r for r, _ in results]
-    if args.format == "csv":
-        write_csv(
-            out / "simulate.csv",
-            SIMULATE_CSV_HEADER,
-            ([row[k] for k in SIMULATE_CSV_HEADER] for row in rows),
-        )
-    else:
-        _write_json(out / "simulate.json", rows)
+    _write_table(
+        out, "simulate", args.format, SIMULATE_CSV_HEADER,
+        [[row[k] for k in SIMULATE_CSV_HEADER] for row in rows],
+    )
     for i, (_, M) in enumerate(results):
         write_csv(out / f"confusion_{i:03d}.csv", None, M)
     _write_resolved_config(out, args)
@@ -312,6 +314,11 @@ def cmd_cotrain(args) -> int:
     S = D.subset(result.selected)
     C = D.subset(result.candidate) if len(result.candidate) else None
     clean_test = data_mod.load(Path(args.test)) if args.test else None
+    if clean_test is not None and (clean_test.c, clean_test.d) != (D.c, D.d):
+        raise ValueError(
+            f"test set has (c, d) = ({clean_test.c}, {clean_test.d}), "
+            f"training set has ({D.c}, {D.d})"
+        )
 
     if args.eps_s is not None:
         eps_s, source = args.eps_s, "given"
@@ -366,25 +373,31 @@ def cmd_cotrain(args) -> int:
 # report
 
 
+def _field(record: dict, key: str, path: Path):
+    value = record.get(key)
+    if value is None:
+        raise ValueError(f"{path}: missing field {key!r}")
+    return value
+
+
 def _run_summary(run: Path) -> dict:
     row = {k: float("nan") for k in REPORT_CSV_HEADER[1:]}
     metrics_path = run / "metrics.csv"
     if metrics_path.is_file():
         with open(metrics_path, newline="") as fh:
             for rec in csv.DictReader(fh):
-                if rec["class"] == "all":
-                    row["lp"] = float(rec["lp"])
-                    row["lr"] = float(rec["lr"])
-                    row["eps_s"] = float(rec["eps_s"])
+                if _field(rec, "class", metrics_path) == "all":
+                    for k in ("lp", "lr", "eps_s"):
+                        row[k] = float(_field(rec, k, metrics_path))
     selection_path = run / "selection.json"
     if selection_path.is_file():
-        row["epsilon_hat"] = float(json.loads(selection_path.read_text())["epsilon_hat"])
+        selection = json.loads(selection_path.read_text())
+        row["epsilon_hat"] = float(_field(selection, "epsilon_hat", selection_path))
     final_path = run / "final.json"
     if final_path.is_file():
         final = json.loads(final_path.read_text())
-        row["acc_f1"] = float(final["acc_f1"])
-        row["acc_f2"] = float(final["acc_f2"])
-        row["best_acc"] = float(final["best_acc"])
+        for k in ("acc_f1", "acc_f2", "best_acc"):
+            row[k] = float(_field(final, k, final_path))
     return row
 
 
@@ -396,14 +409,10 @@ def cmd_report(args) -> int:
         if not run_path.is_dir():
             raise UsageError(f"run directory not found: {run}")
         rows.append({"run": run_path.name, **_run_summary(run_path)})
-    if args.format == "csv":
-        write_csv(
-            out / "report.csv",
-            REPORT_CSV_HEADER,
-            ([row[k] for k in REPORT_CSV_HEADER] for row in rows),
-        )
-    else:
-        _write_json(out / "report.json", rows)
+    _write_table(
+        out, "report", args.format, REPORT_CSV_HEADER,
+        [[row[k] for k in REPORT_CSV_HEADER] for row in rows],
+    )
     _write_resolved_config(out, args)
     print(f"merged {len(rows)} runs into {out}")
     return 0

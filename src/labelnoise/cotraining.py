@@ -4,9 +4,9 @@ Both learners see the same mini-batch stream; each ranks the batch by
 its own per-sample loss, keeps the scheduled number of smallest-loss
 samples, and is updated by one SGD step on the subset the OTHER learner
 kept. Both learners step together, from the same pre-step parameters,
-as one SoftmaxPair call. Warm-up epochs draw batches from the selected
-set only; afterwards each batch is a selected-set batch joined with a
-candidate-set batch.
+as one paired SoftmaxLearner call. Warm-up epochs draw batches from the
+selected set only; afterwards each batch is a selected-set batch joined
+with a candidate-set batch.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import LabeledDataset
-from .learners import LearnerFactory, SoftmaxLearner, SoftmaxPair
+from .learners import LearnerFactory, SoftmaxLearner
 from .selection import selection_metrics
 from .theory import theory_point
 
@@ -38,6 +38,8 @@ class CoTrainConfig:
     decay_epochs: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.total_epochs < 1:
+            raise ValueError(f"total_epochs must be >= 1, got {self.total_epochs}")
         if not 0 <= self.warmup_epochs <= self.total_epochs:
             raise ValueError(
                 f"need 0 <= warmup <= total epochs, got "
@@ -134,13 +136,13 @@ class _CyclingSampler:
         return out
 
 
-def _clean_accuracies(pair: SoftmaxPair, D: Optional[LabeledDataset]) -> tuple[float, float]:
+def _clean_accuracies(pair: SoftmaxLearner, D: Optional[LabeledDataset]) -> tuple[float, float]:
     """Test accuracy of both learners against the true labels when the
     test set has them."""
     if D is None:
         return float("nan"), float("nan")
     labels = D.observed_labels if D.true_labels is None else D.true_labels
-    hits = np.argmax(pair.predict_proba(D.features), axis=-1) == labels
+    hits = pair.predict_labels(D.features) == labels
     acc1, acc2 = np.mean(hits, axis=-1)
     return float(acc1), float(acc2)
 
@@ -174,7 +176,7 @@ def cotrain(
     for f in (f1, f2):
         if not isinstance(f, SoftmaxLearner):
             raise TypeError(f"co-training needs gradient learners, got {type(f).__name__}")
-    pair = SoftmaxPair(f1, f2)
+    pair = SoftmaxLearner.pair(f1, f2)
 
     s_stream = _CyclingSampler(S.n, np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])))
     c_stream = (

@@ -13,14 +13,15 @@ Three kinds:
                    ReLU hidden layer, trained by mini-batch SGD on
                    cross-entropy; fully deterministic given its seed.
 
-Two SoftmaxLearners of one (c, d, hidden) can be joined as a SoftmaxPair:
-their parameters are stacked on a leading member axis, so one forward
-pass or SGD step serves both, with results bit-identical to two lone
-calls. Co-training and INCV's two folds train their learners this way.
+SoftmaxLearner.pair stacks two SoftmaxLearners of one (c, d, hidden) on a
+leading member axis, so one forward pass or SGD step serves both, with
+results bit-identical to two lone calls. Co-training and INCV's two folds
+train their learners this way.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from typing import Callable, Optional
@@ -76,7 +77,7 @@ class Learner:
     def predict_labels(
         self, features: np.ndarray, true_labels: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        return np.argmax(self.predict_proba(features, true_labels), axis=1)
+        return np.argmax(self.predict_proba(features, true_labels), axis=-1)
 
     def predict_dataset(self, D: LabeledDataset) -> np.ndarray:
         return self.predict_labels(D.features, D.true_labels)
@@ -87,14 +88,11 @@ class Learner:
         labels: np.ndarray,
         true_labels: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Cross-entropy -log p(label | x) per sample, p clamped at 1e-12."""
-        return _nll(self.predict_proba(features, true_labels), labels)
-
-
-def _nll(probs: np.ndarray, labels) -> np.ndarray:
-    """-log p(label) per sample, p clamped; probs may carry leading axes."""
-    picked = probs[..., np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
-    return -np.log(np.clip(picked, LOSS_CLAMP, None))
+        """Cross-entropy -log p(label | x) per sample, p clamped at 1e-12;
+        a paired learner's losses carry the member axis first."""
+        probs = self.predict_proba(features, true_labels)
+        picked = probs[..., np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
+        return -np.log(np.clip(picked, LOSS_CLAMP, None))
 
 
 # --------------------------------------------------------------------------
@@ -256,6 +254,11 @@ def _probabilities(params, hidden, X):
 def _loss_and_grad(params, hidden, X, y):
     """Mean cross-entropy per batch and its analytic gradient."""
     act, logits = _forward(params, hidden, X)
+    if y.shape != logits.shape[:-1]:
+        # a paired learner needs member-first (2, k) labels, one row per member
+        raise ValueError(
+            f"labels of shape {y.shape} do not fit a batch of {logits.shape[:-1]} rows"
+        )
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1))
     log_probs = shifted - log_z[..., None]
@@ -279,7 +282,11 @@ def _loss_and_grad(params, hidden, X, y):
 
 
 def _check_loss(loss, who: str = "") -> None:
-    if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+    """Reject a non-finite or runaway batch loss; a stacked loss names the member."""
+    if loss.ndim:
+        for i, value in enumerate(loss):
+            _check_loss(value, f"learner {i + 1} of the pair: ")
+    elif not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
         raise DivergenceError(f"{who}batch loss {loss} is not finite or exceeds limit")
 
 
@@ -325,6 +332,25 @@ class SoftmaxLearner(Learner):
         """(c, d, hidden): learners that share it can be paired."""
         return self.c, self.d, self.hidden
 
+    @staticmethod
+    def pair(f1: "SoftmaxLearner", f2: "SoftmaxLearner") -> "SoftmaxLearner":
+        """One learner whose parameters stack f1's and f2's on a member axis.
+
+        Its outputs are member first, and its sgd_step steps member i on
+        (X[i], y[i]), checking both losses before updating either. Each
+        member's params are rebound as views into the stacks, so a member
+        still predicts, flattens and steps on its own.
+        """
+        if f1.arch != f2.arch:
+            raise TypeError(
+                f"paired learners need one (c, d, hidden), got {f1.arch} and {f2.arch}"
+            )
+        stacked = copy.copy(f1)
+        stacked.params = {k: np.stack([f1.params[k], f2.params[k]]) for k in f1.params}
+        for i, f in enumerate((f1, f2)):
+            f.params = {k: v[i] for k, v in stacked.params.items()}
+        return stacked
+
     def predict_proba(self, features, true_labels=None) -> np.ndarray:
         return _probabilities(self.params, self.hidden, _feature_matrix(features, self.d))
 
@@ -335,7 +361,7 @@ class SoftmaxLearner(Learner):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return _loss_and_grad(self.params, self.hidden, X, np.asarray(y, dtype=np.int64))
 
-    def sgd_step(self, X: np.ndarray, y: np.ndarray, lr: float) -> float:
+    def sgd_step(self, X: np.ndarray, y: np.ndarray, lr: float) -> float | np.ndarray:
         loss, grads = self.loss_and_grad(X, y)
         _check_loss(loss)
         for name, g in grads.items():
@@ -366,63 +392,24 @@ class SoftmaxLearner(Learner):
         return self.loss_and_grad(X, y)[0]
 
 
-class SoftmaxPair:
-    """Two SoftmaxLearners of one arch that forward and step as one.
+def train_pair(f1: SoftmaxLearner, f2: SoftmaxLearner, features, labels, rows) -> None:
+    """Train f1 on rows[0] and f2 on rows[1] of (features, labels), as train() would.
 
-    Their parameters are stacked on a leading member axis, and each
-    learner's params are rebound as views into the stacks: a pair step
-    updates both, while each learner still predicts, flattens and steps
-    on its own. Outputs carry the member axis first.
+    Each learner follows its own batch schedule. Batch j of both is one
+    paired step when the two have the same size and learning rate;
+    otherwise each is stepped alone.
     """
-
-    def __init__(self, f1: SoftmaxLearner, f2: SoftmaxLearner):
-        if f1.arch != f2.arch:
-            raise TypeError(
-                f"paired learners need one (c, d, hidden), got {f1.arch} and {f2.arch}"
-            )
-        self.members = (f1, f2)
-        self.d, self.hidden = f1.d, f1.hidden
-        self.params = {k: np.stack([f1.params[k], f2.params[k]]) for k in f1.params}
-        for i, f in enumerate(self.members):
-            f.params = {k: v[i] for k, v in self.params.items()}
-
-    def predict_proba(self, features) -> np.ndarray:
-        """(2, n, c) probabilities of both members on the same rows."""
-        return _probabilities(self.params, self.hidden, _feature_matrix(features, self.d))
-
-    def losses(self, features, labels) -> np.ndarray:
-        """(2, n) per-sample cross-entropy of both members, as Learner.losses."""
-        return _nll(self.predict_proba(features), labels)
-
-    def sgd_step(self, X: np.ndarray, y: np.ndarray, lr: float) -> np.ndarray:
-        """Step member i on (X[i], y[i]); both losses are checked before
-        either member is updated."""
-        losses, grads = _loss_and_grad(self.params, self.hidden, X, y)
-        for i, loss in enumerate(losses):
-            _check_loss(loss, f"learner {i + 1} of the pair: ")
-        for name, g in grads.items():
-            self.params[name] -= lr * g
-        return losses
-
-    def train(self, features: np.ndarray, labels: np.ndarray, rows) -> "SoftmaxPair":
-        """Member i's train() on rows[i] of (features, labels).
-
-        Each member follows its own batch schedule. Batch j of both is one
-        stacked step when the two have the same size and learning rate;
-        otherwise each is stepped alone.
-        """
-        f1, f2 = self.members
-        same_lr = f1.cfg.learning_rate == f2.cfg.learning_rate
-        schedules = [_schedule(len(r), f.cfg) for f, r in zip(self.members, rows)]
-        for b1, b2 in zip_longest(*schedules):
-            if same_lr and b1 is not None and b2 is not None and len(b1) == len(b2):
-                picked = np.stack([rows[0][b1], rows[1][b2]])
-                self.sgd_step(features[picked], labels[picked], f1.cfg.learning_rate)
-                continue
-            for f, r, b in zip(self.members, rows, (b1, b2)):
-                if b is not None:
-                    f.sgd_step(features[r[b]], labels[r[b]], f.cfg.learning_rate)
-        return self
+    pair = SoftmaxLearner.pair(f1, f2)
+    same_lr = f1.cfg.learning_rate == f2.cfg.learning_rate
+    schedules = [_schedule(len(r), f.cfg) for f, r in zip((f1, f2), rows)]
+    for b1, b2 in zip_longest(*schedules):
+        if same_lr and b1 is not None and b2 is not None and len(b1) == len(b2):
+            picked = np.stack([rows[0][b1], rows[1][b2]])
+            pair.sgd_step(features[picked], labels[picked], f1.cfg.learning_rate)
+            continue
+        for f, r, b in zip((f1, f2), rows, (b1, b2)):
+            if b is not None:
+                f.sgd_step(features[r[b]], labels[r[b]], f.cfg.learning_rate)
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 One engine drives both algorithms. Each pass splits the remaining
 candidates in half, trains a fresh learner per fold (softmax fold
-learners side by side, as one SoftmaxPair), and keeps the opposite
-fold's samples whose observed label the learner reproduces.
+learners side by side, as one paired SoftmaxLearner), and keeps the
+opposite fold's samples whose observed label the learner reproduces.
 The single-pass form estimates the noise ratio from the selection rate;
 the iterative form repeats the pass on the shrinking candidate set while
 also discarding the largest-loss disagreeing samples.
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset, split_half
-from .learners import LearnerFactory, SoftmaxLearner, SoftmaxPair
+from .learners import LearnerFactory, SoftmaxLearner, train_pair
 from .theory import estimate_epsilon_asymmetric, estimate_epsilon_symmetric
 
 
@@ -136,14 +136,14 @@ def _iteration_seeds(seed: int, iteration: int) -> tuple[int, int, int]:
 def _train_folds(D: LabeledDataset, learners, train_ids) -> None:
     """Train learner i on the rows of D whose id is in train_ids[i].
 
-    Softmax learners of one arch train as a SoftmaxPair, reading their
+    Softmax learners of one arch train as a pair (train_pair), reading their
     batches from D by row position; any other learners train alone on
     their subset.
     """
     f1, f2 = learners
     if isinstance(f1, SoftmaxLearner) and isinstance(f2, SoftmaxLearner) and f1.arch == f2.arch:
         rows = [np.flatnonzero(np.isin(D.ids, ids)) for ids in train_ids]
-        SoftmaxPair(f1, f2).train(D.features, D.observed_labels, rows)
+        train_pair(f1, f2, D.features, D.observed_labels, rows)
         return
     for learner, ids in zip(learners, train_ids):
         learner.train(D.subset(ids))

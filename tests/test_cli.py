@@ -422,6 +422,29 @@ def test_cotrain_warmup_only_never_touches_candidates(tmp_path):
     assert all(row[4] == "0" for row in rows[1:])
 
 
+def test_cotrain_without_epochs_exits_1_before_writing(tmp_path, capsys):
+    src, _, sel = pipeline(tmp_path, iterations=1)
+    out = tmp_path / "ct"
+    code = run("cotrain", "--in", src, "--selection", sel / "selection.json",
+               "--warmup", 0, "--epochs", 0, "--out", out)
+    assert code == 1
+    assert "error: total_epochs must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c, d", [(5, 3), (4, 5)], ids=["classes", "features"])
+def test_cotrain_rejects_a_test_set_of_another_shape(tmp_path, capsys, c, d):
+    src, _, sel = pipeline(tmp_path, iterations=1)
+    test = make_input(tmp_path, name="other", c=c, d=d, n_per_class=5)
+    out = tmp_path / "ct"
+    code = run("cotrain", "--in", src, "--selection", sel / "selection.json",
+               "--test", test, "--warmup", 1, "--epochs", 2, "--out", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"test set has (c, d) = ({c}, {d}), training set has (4, 3)" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # report command
 
@@ -454,6 +477,23 @@ def test_report_json_format(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert payload[0]["run"] == "sel"
     assert 0.0 <= payload[0]["epsilon_hat"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "name, text, field",
+    [
+        ("selection.json", '{"selected": []}', "epsilon_hat"),
+        ("final.json", '{"acc_f1": 0.5, "best_acc": 0.5}', "acc_f2"),
+        ("metrics.csv", "experiment,lp,lr,eps_s\nrun,0.9,0.8,0.1\n", "class"),
+    ],
+    ids=["selection", "final", "metrics"],
+)
+def test_report_names_the_file_and_field_it_misses(tmp_path, capsys, name, text, field):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / name).write_text(text)
+    assert run("report", "--runs", run_dir, "--out", tmp_path / "rep") == 1
+    assert f"error: {run_dir / name}: missing field {field!r}" in capsys.readouterr().err
 
 
 def test_report_missing_run_exits_2(tmp_path):

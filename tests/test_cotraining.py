@@ -127,6 +127,7 @@ def test_batch_mix_candidate_share_bounded(size_s, size_c, base):
         dict(eps_s=-0.1),
         dict(learning_rate=0.0),
         dict(decay_factor=0.0),
+        dict(warmup_epochs=0, total_epochs=0),  # no epoch to report
     ],
 )
 def test_config_validation(bad):
@@ -334,7 +335,6 @@ def test_report_bookkeeping():
 def test_exchange_uses_the_other_learners_keeps(monkeypatch):
     # ids equal row indices, so a step's feature rows identify the kept ids
     from labelnoise.data import LabeledDataset
-    from labelnoise.learners import SoftmaxPair
 
     rng = np.random.default_rng(8)
     n = 24
@@ -352,14 +352,14 @@ def test_exchange_uses_the_other_learners_keeps(monkeypatch):
 
     # member i of the paired step is learner f(i+1); record the rows each one steps on
     steps = {0: [], 1: []}
-    original = SoftmaxPair.sgd_step
+    original = SoftmaxLearner.sgd_step
 
     def record(self, X, y, lr):
         steps[0].append(np.array(X[0], copy=True))
         steps[1].append(np.array(X[1], copy=True))
         return original(self, X, y, lr)
 
-    monkeypatch.setattr(SoftmaxPair, "sgd_step", record)
+    monkeypatch.setattr(SoftmaxLearner, "sgd_step", record)
     recording_factory = softmax_factory(
         2, 3, TrainConfig(epochs=1, batch_size=8, learning_rate=0.01)
     )

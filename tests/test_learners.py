@@ -16,12 +16,12 @@ from labelnoise.learners import (
     MissingTrueLabelsError,
     OracleLearner,
     SoftmaxLearner,
-    SoftmaxPair,
     TrainConfig,
     _row_uniforms,
     knn_factory,
     oracle_factory,
     softmax_factory,
+    train_pair,
 )
 from labelnoise.noise import NoiseSpec, TransitionMatrix, symmetric_matrix
 
@@ -426,7 +426,8 @@ def test_paired_steps_are_bit_identical_to_two_lone_chains(c, d, hidden, k):
     # its 2-D matmul: co-training and INCV results would silently change.
     rng = np.random.default_rng(k * d)
     lone = lone_pair(c, d, hidden)
-    pair = SoftmaxPair(*lone_pair(c, d, hidden))
+    members = lone_pair(c, d, hidden)
+    pair = SoftmaxLearner.pair(*members)
     for step in range(300):
         if step % 50 == 0:
             probe, labels = rng.standard_normal((40, d)), rng.integers(0, c, 40)
@@ -436,18 +437,19 @@ def test_paired_steps_are_bit_identical_to_two_lone_chains(c, d, hidden, k):
         X, y = rng.standard_normal((2, k, d)), rng.integers(0, c, (2, k))
         losses = pair.sgd_step(X, y, 0.3)
         assert [f.sgd_step(X[i], y[i], 0.3) for i, f in enumerate(lone)] == losses.tolist()
-    for f, g in zip(lone, pair.members):
+    for f, g in zip(lone, members):
         assert np.array_equal(f.flat_params(), g.flat_params())
 
 
 def test_paired_members_keep_working_on_their_own():
     f1, f2 = lone_pair(3, 4, 5)
-    pair = SoftmaxPair(f1, f2)
+    pair = SoftmaxLearner.pair(f1, f2)
     X = random_features(6, 4, seed=3)
     probs = pair.predict_proba(X)
     assert probs.shape == (2, 6, 3)
     assert np.array_equal(probs[0], f1.predict_proba(X))
     assert np.array_equal(probs[1], f2.predict_proba(X))
+    assert np.array_equal(pair.predict_labels(X), np.argmax(probs, axis=-1))
     # a lone step and set_flat_params write through to the stacks
     f2.sgd_step(X, np.array([0, 1, 2, 0, 1, 2]), 0.5)
     f1.set_flat_params(np.zeros_like(f1.flat_params()))
@@ -458,12 +460,24 @@ def test_paired_members_keep_working_on_their_own():
 
 def test_pair_rejects_learners_of_another_arch():
     with pytest.raises(TypeError, match=r"\(3, 4, 5\) and \(3, 4, None\)"):
-        SoftmaxPair(SoftmaxLearner(3, 4, softmax_cfg(), 5), SoftmaxLearner(3, 4, softmax_cfg()))
+        SoftmaxLearner.pair(
+            SoftmaxLearner(3, 4, softmax_cfg(), 5), SoftmaxLearner(3, 4, softmax_cfg())
+        )
+
+
+def test_labels_must_fit_the_batch():
+    f1, f2 = lone_pair(3, 4, None)
+    with pytest.raises(ValueError, match=r"labels of shape \(5,\)"):
+        f1.sgd_step(random_features(6, 4), np.zeros(5, dtype=np.int64), 0.1)
+    pair = SoftmaxLearner.pair(f1, f2)
+    # a lone-shaped batch would step member 2 on no labels at all
+    with pytest.raises(ValueError, match=r"do not fit a batch of \(2, 6\) rows"):
+        pair.sgd_step(random_features(6, 4), np.zeros(6, dtype=np.int64), 0.1)
 
 
 def test_pair_divergence_names_the_member_and_updates_neither():
     f1, f2 = lone_pair(2, 2, None, init_scale=0.0)
-    pair = SoftmaxPair(f1, f2)
+    pair = SoftmaxLearner.pair(f1, f2)
     f2.params["b"][:] = [0.0, 2 * DIVERGENCE_LIMIT]
     before = [f.flat_params() for f in (f1, f2)]
     with pytest.raises(DivergenceError, match="learner 2 of the pair"):
@@ -481,9 +495,9 @@ def test_pair_train_matches_two_lone_trains(sizes, lrs, tiny_blobs):
     cfgs = [softmax_cfg(epochs=3, batch_size=16, learning_rate=lr, seed=s)
             for s, lr in zip((4, 5), lrs)]
     lone = [SoftmaxLearner(4, 3, cfg, 6).train(tiny_blobs._take(r)) for cfg, r in zip(cfgs, rows)]
-    pair = SoftmaxPair(*[SoftmaxLearner(4, 3, cfg, 6) for cfg in cfgs])
-    pair.train(tiny_blobs.features, tiny_blobs.observed_labels, rows)
-    for f, g in zip(lone, pair.members):
+    members = [SoftmaxLearner(4, 3, cfg, 6) for cfg in cfgs]
+    train_pair(*members, tiny_blobs.features, tiny_blobs.observed_labels, rows)
+    for f, g in zip(lone, members):
         assert np.array_equal(f.flat_params(), g.flat_params())
 
 
