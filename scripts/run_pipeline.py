@@ -12,14 +12,13 @@ Typical invocation:
 """
 
 import argparse
-import csv
 import sys
 import time
 
 import numpy as np
 
 from labelnoise.cotraining import CoTrainConfig, cotrain, resolve_eps_s
-from labelnoise.data import BlobSpec, corrupt_dataset, make_blobs, split_per_class
+from labelnoise.data import BlobSpec, corrupt_dataset, make_blobs, split_per_class, write_csv
 from labelnoise.learners import SoftmaxLearner, TrainConfig, softmax_factory
 from labelnoise.noise import NoiseSpec
 from labelnoise.selection import incv, selection_metrics
@@ -121,10 +120,7 @@ def main(argv=None):
         % (len(rows), min(margins), sum(margins) / len(margins), max(margins))
     )
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(args.out, list(rows[0]), [list(row.values()) for row in rows])
         print(f"wrote {args.out}")
     return 0 if min(margins) > 0 else 1
 

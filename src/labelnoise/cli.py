@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as data_mod
 from .cotraining import CoTrainConfig, cotrain, resolve_eps_s
-from .data import format_float, write_csv
+from .data import format_float, write_csv, write_json
 from .learners import (
     KnnLearner,
     OracleLearner,
@@ -31,7 +31,7 @@ from .learners import (
     oracle_factory,
     softmax_factory,
 )
-from .noise import NoiseSpec, matrix_from_spec
+from .noise import NoiseSpec, actual_noise_ratio, matrix_from_spec
 from .selection import (
     confusion_matrix,
     incv,
@@ -88,8 +88,7 @@ def _write_resolved_config(out: Path, args: argparse.Namespace) -> None:
     payload = {
         k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str)
-    (out / "resolved_config.json").write_text(text + "\n")
+    write_json(out / "resolved_config.json", payload)
 
 
 def _out_dir(args) -> Path:
@@ -98,17 +97,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _write_table(out: Path, name: str, fmt: str, header, rows) -> None:
     """Write rows as out/<name>.csv, or with fmt "json" as out/<name>.json,
     a list of one header-keyed object per row."""
     if fmt == "csv":
         write_csv(out / f"{name}.csv", header, rows)
     else:
-        _write_json(out / f"{name}.json", [dict(zip(header, r)) for r in rows])
+        write_json(out / f"{name}.json", [dict(zip(header, r)) for r in rows])
 
 
 # --------------------------------------------------------------------------
@@ -127,7 +122,7 @@ def cmd_corrupt(args) -> int:
     out = _out_dir(args)
     data_mod.save(noisy, out)
     _write_resolved_config(out, args)
-    realized = float(np.mean(noisy.observed_labels != D.true_labels))
+    realized = actual_noise_ratio(noisy.observed_labels, D.true_labels)
     print(f"realized noise ratio: {format_float(realized)}")
     return 0
 
@@ -154,30 +149,23 @@ def cmd_theory(args) -> int:
 
 
 def _simulate_point(args, eps: float, index: int):
-    from .data import BlobSpec, corrupt_dataset, make_blobs
-
     kind, c, d = args.kind, args.classes, args.dims
     spec = NoiseSpec(kind=kind, ratio=eps, seed=args.seed + 7919 * index + 1)
     T = matrix_from_spec(spec, c)
     point = theory_point(kind, c, eps)
     per_class = args.samples // c
+    # the 1-NN learner trains on another per_class samples of each class
+    blob = data_mod.BlobSpec(
+        c=c, d=d, n_per_class=per_class if args.learner == "oracle" else 2 * per_class,
+        separation=args.separation, spread=args.spread,
+        seed=args.seed + 7919 * index,
+    )
+    D = data_mod.corrupt_dataset(data_mod.make_blobs(blob), spec, T)
     if args.learner == "oracle":
-        blob = BlobSpec(
-            c=c, d=d, n_per_class=per_class,
-            separation=args.separation, spread=args.spread,
-            seed=args.seed + 7919 * index,
-        )
-        D = corrupt_dataset(make_blobs(blob), spec, T)
         model = OracleLearner(T, seed=args.seed + 7919 * index + 2)
         pred = model.predict_labels(D.features, D.true_labels)
     else:
-        blob = BlobSpec(
-            c=c, d=d, n_per_class=2 * per_class,
-            separation=args.separation, spread=args.spread,
-            seed=args.seed + 7919 * index,
-        )
-        full = corrupt_dataset(make_blobs(blob), spec, T)
-        train, D = data_mod.split_per_class(full, per_class)
+        train, D = data_mod.split_per_class(D, per_class)
         model = KnnLearner(k=1).train(train)
         pred = model.predict_labels(D.features)
 
@@ -207,11 +195,9 @@ def cmd_simulate(args) -> int:
     env = os.environ.get("LABNOISE_THREADS")
     threads = int(env) if env else (os.cpu_count() or 1)
     threads = max(1, min(threads, max(1, len(grid))))
-    if threads > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ie: _simulate_point(args, ie[1], ie[0]), enumerate(grid)))
-    else:
-        results = [_simulate_point(args, eps, i) for i, eps in enumerate(grid)]
+    # pool.map yields results in grid order whatever the thread count
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(lambda ie: _simulate_point(args, ie[1], ie[0]), enumerate(grid)))
 
     rows = [r for r, _ in results]
     _write_table(
@@ -268,7 +254,7 @@ def _run_selection(args, iterations: int, remove_ratio) -> int:
         noise_kind=args.noise_kind,
     )
     out = _out_dir(args)
-    _write_json(out / "selection.json", result.to_json_dict())
+    write_json(out / "selection.json", result.to_json_dict())
     if D.true_labels is not None and len(result.selected) > 0:
         m = selection_metrics(result.selected, D)
         rows = [[out.name, "all", m.lp, m.lr, m.eps_s]]
@@ -350,7 +336,7 @@ def cmd_cotrain(args) -> int:
         ([r.epoch, r.n_e, r.acc_f1, r.acc_f2, r.c_samples_used] for r in report.records),
     )
     last = report.records[-1]
-    _write_json(
+    write_json(
         out / "final.json",
         {
             "acc_f1": last.acc_f1,
@@ -422,15 +408,18 @@ def cmd_report(args) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, table: bool = False) -> None:
+    """--seed, --out, --strict and, for a command that writes one table
+    (theory, simulate, report), --format."""
     sub.add_argument("--seed", type=int, default=0, help="global RNG seed")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument(
         "--strict", action="store_true", help="escalate warnings to exit code 1"
     )
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="tabular output format"
-    )
+    if table:
+        sub.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="tabular output format"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("symmetric", "asymmetric"), required=True)
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--grid", required=True, help="a:b:step, x,y,z, or one value")
-    _add_common(p)
+    _add_common(p, table=True)
     p.set_defaults(func=cmd_theory)
 
     p = subs.add_parser(
@@ -470,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float, default=6.0)
     p.add_argument("--spread", type=float, default=1.0)
     p.add_argument("--grid", required=True)
-    _add_common(p)
+    _add_common(p, table=True)
     p.set_defaults(func=cmd_simulate)
 
     for name, help_text in (
@@ -517,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("report", help="merge run artifacts into one comparison table")
     p.add_argument("--runs", nargs="+", required=True, help="run directories")
-    _add_common(p)
+    _add_common(p, table=True)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -7,6 +7,9 @@ A dataset directory holds two files:
                  is bit-exact, labels as base-10 integers
   manifest.json  {"n", "d", "c", "noise", "blob", "schema_version": 1}
 
+`write_csv` is the CSV table writer and `write_json` the one JSON writer. `save` writes data.csv in its own fixed row format, byte for
+byte what `write_csv` would write for the same rows.
+
 `load` parses the body of data.csv in one vectorised np.loadtxt pass and
 falls back to a row-by-row parser wherever numpy could read the file
 differently from Python's int() and float(); both accept the same files and
@@ -233,48 +236,27 @@ def format_float(x) -> str:
 
 
 def write_csv(path: Path, header, rows) -> None:
-    """The one CSV table writer, for datasets and every CLI artifact: float
-    cells (numpy included) with format_float, every other cell with str. A
-    None header writes the rows alone.
-
-    A row of floats, ints (numpy included), bools and None needs no csv
-    quoting, so it is written with one %-format cached per tuple of cell
-    types; any other row goes through csv.writer."""
-    formats = {}
+    """The CSV table writer: float cells (numpy included) with format_float,
+    every other cell with str. A None header writes the rows alone."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header is not None:
             writer.writerow(header)
         for row in rows:
-            cells = tuple(row)
-            types = tuple(map(type, cells))
-            fmt = formats.get(types)
-            if fmt is None:
-                fmt = formats[types] = _row_format(types)
-            if fmt:
-                fh.write(fmt % cells)
-            else:
-                writer.writerow(
-                    [format_float(v) if isinstance(v, (float, np.floating)) else str(v)
-                     for v in cells]
-                )
+            writer.writerow(
+                [format_float(v) if isinstance(v, (float, np.floating)) else str(v)
+                 for v in row]
+            )
 
 
-def _row_format(types) -> str:
-    """The %-format that writes a row of these cell types exactly as
-    csv.writer would, or "" when a cell might need quoting."""
-    specs = []
-    for t in types:
-        if issubclass(t, (float, np.floating)):
-            specs.append("%.17g")  # format_float
-        elif t in (int, bool, type(None)) or issubclass(t, np.integer):
-            specs.append("%s")  # str(v)
-        else:
-            return ""
-    return ",".join(specs) + "\n"
+def write_json(path: Path, payload) -> None:
+    """Sorted keys, two-space indent and a final newline."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def save(D: LabeledDataset, path: str | Path) -> None:
+    """Write data.csv with the bytes write_csv would give the same rows:
+    every row has one shape, so one %-format writes them all."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     header = (
@@ -286,10 +268,19 @@ def save(D: LabeledDataset, path: str | Path) -> None:
     labels = np.column_stack(
         [D.observed_labels] if D.true_labels is None else [D.observed_labels, D.true_labels]
     )
-    # row by row: tolist() on the whole matrix would hold every cell as a
-    # Python float at once
-    rows = ([i, *x.tolist(), *y.tolist()] for i, x, y in zip(D.ids.tolist(), D.features, labels))
-    write_csv(path / "data.csv", header, rows)
+    fmt = "%d" + ",%.17g" * D.d + ",%d" * labels.shape[1] + "\n"
+    with open(path / "data.csv", "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        # 4096 rows at a time: tolist() on the whole matrix would hold every
+        # cell as a Python float at once
+        for start in range(0, D.n, 4096):
+            rows = slice(start, start + 4096)
+            fh.writelines(
+                fmt % (i, *x, *y)
+                for i, x, y in zip(
+                    D.ids[rows].tolist(), D.features[rows].tolist(), labels[rows].tolist()
+                )
+            )
     manifest = {
         "n": D.n,
         "d": D.d,
@@ -298,9 +289,7 @@ def save(D: LabeledDataset, path: str | Path) -> None:
         "blob": D.blob.to_dict() if D.blob is not None else None,
         "schema_version": SCHEMA_VERSION,
     }
-    with open(path / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path / "manifest.json", manifest)
 
 
 def load(path: str | Path) -> LabeledDataset:

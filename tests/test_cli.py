@@ -98,6 +98,21 @@ def test_missing_required_argument_exits_2(tmp_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["corrupt", "--in", "ds", "--noise", "symmetric", "--ratio", "0.2"],
+    ["ncv", "--in", "ds"],
+    ["incv", "--in", "ds"],
+    ["cotrain", "--in", "ds", "--selection", "selection.json"],
+], ids=lambda argv: argv[0])
+def test_format_is_a_usage_error_where_no_table_is_written(tmp_path, capsys, argv):
+    # only theory, simulate and report write a table that --format chooses
+    with pytest.raises(SystemExit) as excinfo:
+        run(*argv, "--format", "json", "--out", tmp_path / "o")
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_exits_2(tmp_path, capsys):
     code = run("simulate", "--grid", "0.2", "--samples", 5, "--classes", 10,
                "--out", tmp_path / "o")
@@ -215,6 +230,18 @@ def test_corrupt_custom_mapping_recorded(tmp_path):
     assert run("corrupt", "--in", src, "--noise", "asymmetric", "--ratio", 0.3,
                "--mapping", "1,2,3,0", "--out", out) == 0
     assert data_mod.load(out).noise.mapping == (1, 2, 3, 0)
+
+
+def test_corrupt_of_an_empty_dataset_reports_zero_without_warnings(tmp_path, capsys):
+    D = LabeledDataset(features=np.zeros((0, 3)), observed_labels=[], ids=[], c=2,
+                       true_labels=[])
+    data_mod.save(D, tmp_path / "empty")
+    assert run("corrupt", "--in", tmp_path / "empty", "--noise", "symmetric",
+               "--ratio", 0.2, "--strict", "--out", tmp_path / "o") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "realized noise ratio: 0\n"
+    assert captured.err == ""
+    assert data_mod.load(tmp_path / "o").n == 0
 
 
 # ---------------------------------------------------------------------------

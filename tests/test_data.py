@@ -385,6 +385,40 @@ def test_save_load_round_trips_float_bit_patterns(bits, tmp_path_factory):
     assert np.array_equal(ref[1].view(np.uint64), features.view(np.uint64))
 
 
+_special_bits = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072009e-308, np.nan, -np.nan, np.inf, -np.inf]
+).map(lambda v: int(np.float64(v).view(np.uint64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(min_value=0, max_value=4), with_truth=st.booleans())
+def test_save_writes_what_write_csv_writes(data, d, with_truth, tmp_path_factory):
+    # save formats data.csv itself; its bytes must stay those of the table
+    # writer, fed numpy scalars rather than tolist() values
+    ids = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=12))
+    n = len(ids)
+    bits = data.draw(st.lists(_float_bits | _special_bits, min_size=n * d, max_size=n * d))
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    D = LabeledDataset(
+        features=np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, d),
+        observed_labels=data.draw(labels),
+        ids=ids,
+        c=3,
+        true_labels=data.draw(labels) if with_truth else None,
+    )
+    tmp = tmp_path_factory.mktemp("ds")
+    save(D, tmp / "ds")
+    header = ["id", *(f"f{j}" for j in range(d)), "observed_label"]
+    header += ["true_label"] if with_truth else []
+    rows = [
+        [D.ids[r], *D.features[r], D.observed_labels[r]]
+        + ([D.true_labels[r]] if with_truth else [])
+        for r in range(n)
+    ]
+    write_csv(tmp / "table.csv", header, rows)
+    assert (tmp / "ds" / "data.csv").read_bytes() == (tmp / "table.csv").read_bytes()
+
+
 def test_load_rejects_unknown_schema_version(tmp_path):
     D = blob(npc=3)
     save(D, tmp_path / "ds")
