@@ -52,18 +52,11 @@ def class_accuracy(T: TransitionMatrix, i: int) -> float:
 
 
 def symmetric_accuracy(eps: float, c: int) -> float:
-    """(1-eps)^2 + eps^2/(c-1), evaluated in vertex form.
-
-    The quadratic equals 1/c + c/(c-1) * ((c-1)/c - eps)^2. Near its vertex
-    eps = (c-1)/c the expanded sum loses a few ulps to cancellation, which
-    the inverse amplifies through its square root; the vertex form keeps
-    the excess over 1/c exact to rounding.
-    """
+    """(1-eps)^2 + eps^2/(c-1)."""
     _check_eps(eps)
     if c < 2:
         raise ValueError(f"class count must be >= 2, got {c}")
-    d = (c - 1) / c - eps
-    return 1.0 / c + c / (c - 1) * d * d
+    return (1.0 - eps) ** 2 + eps**2 / (c - 1)
 
 
 def asymmetric_accuracy(eps: float) -> float:
@@ -111,18 +104,18 @@ def estimate_epsilon_symmetric(observed_accuracy: float, c: int) -> float:
     """
     if c < 2:
         raise ValueError(f"class count must be >= 2, got {c}")
-    # eps = (c-1)/c - sqrt((a - 1/c) * (c-1)/c); the excess a - 1/c is
-    # exact near the vertex, where 1 - c/(c-1) * (1 - a) is all rounding
-    excess = observed_accuracy - 1.0 / c
-    if excess <= 0.0:
-        if excess < 0.0:
+    A = c / (c - 1)
+    radicand = 1.0 - A * (1.0 - observed_accuracy)
+    if radicand < 0.0:
+        # rounding alone can make the radicand negative at a = 1/c
+        if observed_accuracy < 1.0 / c:
             warnings.warn(
                 f"observed accuracy {observed_accuracy} is below the theoretical "
                 f"minimum 1/c = {1.0 / c}; clamping estimate to (c-1)/c",
                 stacklevel=2,
             )
-        excess = 0.0
-    return (c - 1) / c - np.sqrt(excess * (c - 1) / c)
+        radicand = 0.0
+    return (1.0 - np.sqrt(radicand)) / A
 
 
 def estimate_epsilon_asymmetric(observed_accuracy: float) -> float:

@@ -135,17 +135,6 @@ def test_estimate_round_trip_analytic():
         assert abs(estimate_epsilon_asymmetric(asymmetric_accuracy(eps)) - eps) <= 1e-10
 
 
-def test_estimate_round_trip_next_to_the_vertex():
-    # within a few ulps of eps = (c-1)/c the accuracy sits a few ulps above
-    # 1/c, and the square root turns those ulps into a ~1e-8 error unless
-    # both directions work on the excess over 1/c
-    for c in range(2, 31):
-        vertex = (c - 1) / c
-        for eps in (vertex, np.nextafter(vertex, 0.0), 0.9999999999999998 * vertex):
-            a = symmetric_accuracy(float(eps), c)
-            assert abs(estimate_epsilon_symmetric(a, c) - eps) <= 1e-12
-
-
 def test_purity_of_selected_set_across_grid():
     for c in (2, 5, 10):
         for eps in np.arange(0.05, (c - 1) / c, 0.05):
