@@ -408,18 +408,19 @@ def cmd_report(args) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser, table: bool = False) -> None:
-    """--seed, --out, --strict and, for a command that writes one table
-    (theory, simulate, report), --format."""
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="global RNG seed")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument(
         "--strict", action="store_true", help="escalate warnings to exit code 1"
     )
-    if table:
-        sub.add_argument(
-            "--format", choices=("csv", "json"), default="csv", help="tabular output format"
-        )
+
+
+def _add_format(sub: argparse.ArgumentParser) -> None:
+    """--format, for the commands that write one table: theory, simulate, report."""
+    sub.add_argument(
+        "--format", choices=("csv", "json"), default="csv", help="tabular output format"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("symmetric", "asymmetric"), required=True)
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--grid", required=True, help="a:b:step, x,y,z, or one value")
-    _add_common(p, table=True)
+    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_theory)
 
     p = subs.add_parser(
@@ -459,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float, default=6.0)
     p.add_argument("--spread", type=float, default=1.0)
     p.add_argument("--grid", required=True)
-    _add_common(p, table=True)
+    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_simulate)
 
     for name, help_text in (
@@ -506,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("report", help="merge run artifacts into one comparison table")
     p.add_argument("--runs", nargs="+", required=True, help="run directories")
-    _add_common(p, table=True)
+    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -90,6 +90,16 @@ def test_single_pass_with_perfect_agreement_selects_everything():
     assert record.acc1 == 1.0 and record.acc2 == 1.0
 
 
+@pytest.mark.parametrize("c", [2, 3, 7])
+def test_incv_on_noise_free_data_selects_everything(c):
+    clean = make_blobs(
+        BlobSpec(c=c, d=3, n_per_class=30, separation=6.0, spread=1.0, seed=c)
+    )
+    result = incv(clean, oracle_factory(symmetric_matrix(c, 0.0)), iterations=2, seed=1)
+    assert result.epsilon_hat == 0.0
+    assert set(result.selected) == set(clean.ids)
+
+
 def test_single_pass_equals_one_iteration_without_removal():
     D, factory = oracle_selection_case(n_per_class=100)
     a = ncv(D, factory, seed=7)

@@ -120,6 +120,14 @@ def test_estimate_epsilon_symmetric_does_not_warn_at_the_vertex():
             assert estimate_epsilon_symmetric(1.0 / c, c) == pytest.approx((c - 1) / c)
 
 
+def test_estimate_epsilon_symmetric_is_exactly_zero_at_full_accuracy():
+    # full fold agreement is routine on clean data; the estimate must be a
+    # valid noise ratio there, not a rounding error just below zero
+    for c in range(2, 31):
+        assert symmetric_accuracy(0.0, c) == 1.0
+        assert estimate_epsilon_symmetric(1.0, c) == 0.0
+
+
 def test_estimate_epsilon_asymmetric_clamps_below_half():
     with pytest.warns(UserWarning):
         est = estimate_epsilon_asymmetric(0.49)
