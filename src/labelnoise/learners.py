@@ -22,6 +22,7 @@ train their learners this way.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from typing import Callable, Optional
@@ -229,12 +230,25 @@ class KnnLearner(Learner):
 # lone call, so the results match bit for bit.
 
 
-def _forward(params, hidden, X):
-    """(hidden ReLU activation or None, logits)."""
+def _param_shapes(c: int, d: int, hidden: Optional[int]) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes, in the order their initial values are drawn."""
     if hidden is None:
-        return None, X @ params["w"] + params["b"][..., None, :]
-    act = np.maximum(X @ params["w1"] + params["b1"][..., None, :], 0.0)
-    return act, act @ params["w2"] + params["b2"][..., None, :]
+        return {"w": (d, c), "b": (c,)}
+    return {"w1": (d, hidden), "b1": (hidden,), "w2": (hidden, c), "b2": (c,)}
+
+
+def _forward(params, hidden, X):
+    """(hidden ReLU activation or None, logits), both fresh arrays."""
+    if hidden is None:
+        logits = X @ params["w"]
+        logits += params["b"][..., None, :]
+        return None, logits
+    act = X @ params["w1"]
+    act += params["b1"][..., None, :]
+    np.maximum(act, 0.0, out=act)
+    logits = act @ params["w2"]
+    logits += params["b2"][..., None, :]
+    return act, logits
 
 
 def _feature_matrix(features, d: int) -> np.ndarray:
@@ -246,39 +260,10 @@ def _feature_matrix(features, d: int) -> np.ndarray:
 
 def _probabilities(params, hidden, X):
     _, logits = _forward(params, hidden, X)
-    logits -= logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _loss_and_grad(params, hidden, X, y):
-    """Mean cross-entropy per batch and its analytic gradient."""
-    act, logits = _forward(params, hidden, X)
-    if y.shape != logits.shape[:-1]:
-        # a paired learner needs member-first (2, k) labels, one row per member
-        raise ValueError(
-            f"labels of shape {y.shape} do not fit a batch of {logits.shape[:-1]} rows"
-        )
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
-    log_probs = shifted - log_z[..., None]
-    n, c = log_probs.shape[-2:]
-    pick = (np.arange(y.size), y.ravel())
-    # sum / n is what ndarray.mean computes, without its Python-level overhead
-    loss = -log_probs.reshape(-1, c)[pick].reshape(y.shape).sum(axis=-1) / n
-
-    dlogits = np.exp(log_probs)
-    dlogits.reshape(-1, c)[pick] -= 1.0
-    dlogits /= n
-    if hidden is None:
-        return loss, {"w": X.swapaxes(-1, -2) @ dlogits, "b": dlogits.sum(axis=-2)}
-    dpre = (dlogits @ params["w2"].swapaxes(-1, -2)) * (act > 0.0)
-    return loss, {
-        "w1": X.swapaxes(-1, -2) @ dpre,
-        "b1": dpre.sum(axis=-2),
-        "w2": act.swapaxes(-1, -2) @ dlogits,
-        "b2": dlogits.sum(axis=-2),
-    }
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = np.exp(logits, out=logits)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _check_loss(loss, who: str = "") -> None:
@@ -286,22 +271,35 @@ def _check_loss(loss, who: str = "") -> None:
     if loss.ndim:
         for i, value in enumerate(loss):
             _check_loss(value, f"learner {i + 1} of the pair: ")
-    elif not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+    elif not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
         raise DivergenceError(f"{who}batch loss {loss} is not finite or exceeds limit")
 
 
-def _schedule(n: int, cfg: TrainConfig):
-    """Row positions of each SGD batch: cfg.epochs passes over a fresh
-    permutation from one default_rng(cfg.seed + 1)."""
+def _epochs(n: int, cfg: TrainConfig):
+    """Row order of each of cfg.epochs SGD passes: fresh permutations from
+    one default_rng(cfg.seed + 1)."""
     rng = np.random.default_rng(cfg.seed + 1)
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        yield rng.permutation(n)
+
+
+def _schedule(n: int, cfg: TrainConfig):
+    """Row positions of each SGD batch: every pass cut into cfg.batch_size
+    slices, the last one shorter when n is not a multiple."""
+    for order in _epochs(n, cfg):
         for start in range(0, n, cfg.batch_size):
             yield order[start : start + cfg.batch_size]
 
 
 class SoftmaxLearner(Learner):
-    """Multinomial logistic regression, optionally one ReLU hidden layer."""
+    """Multinomial logistic regression, optionally one ReLU hidden layer.
+
+    All parameters live in one flat vector, in sorted name order, and
+    `params` holds named views into it: write into an entry in place, as
+    rebinding it would detach it from the vector. The gradient has its own
+    flat vector and views, reused by every sgd_step, so an update is one
+    vector operation.
+    """
 
     def __init__(self, c: int, d: int, cfg: TrainConfig, hidden: Optional[int] = None):
         if c < 2:
@@ -312,20 +310,31 @@ class SoftmaxLearner(Learner):
         self.d = d
         self.cfg = cfg
         self.hidden = hidden
+        self._onehot = np.eye(c)
+        shapes = _param_shapes(c, d, hidden)
+        self._bind(np.empty(sum(math.prod(s) for s in shapes.values())))
         rng = np.random.default_rng(cfg.seed)
-        s = cfg.init_scale
-        if hidden is None:
-            self.params = {
-                "w": s * rng.standard_normal((d, c)),
-                "b": s * rng.standard_normal(c),
-            }
-        else:
-            self.params = {
-                "w1": s * rng.standard_normal((d, hidden)),
-                "b1": s * rng.standard_normal(hidden),
-                "w2": s * rng.standard_normal((hidden, c)),
-                "b2": s * rng.standard_normal(c),
-            }
+        for name, shape in shapes.items():
+            self.params[name][...] = cfg.init_scale * rng.standard_normal(shape)
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Make flat the parameter vector, with params and a fresh gradient
+        buffer viewing it."""
+        self._flat = flat
+        self.params = self._views(flat)
+        self._grad = np.empty_like(flat)
+        self._grads = self._views(self._grad)
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into flat's last axis, in sorted name order; a pair's
+        member axis carries over to every view."""
+        shapes = _param_shapes(*self.arch)
+        views, offset = {}, 0
+        for name in sorted(shapes):
+            size = math.prod(shapes[name])
+            views[name] = flat[..., offset : offset + size].reshape(flat.shape[:-1] + shapes[name])
+            offset += size
+        return views
 
     @property
     def arch(self) -> tuple[int, int, Optional[int]]:
@@ -334,11 +343,11 @@ class SoftmaxLearner(Learner):
 
     @staticmethod
     def pair(f1: "SoftmaxLearner", f2: "SoftmaxLearner") -> "SoftmaxLearner":
-        """One learner whose parameters stack f1's and f2's on a member axis.
+        """One learner whose parameter vector stacks f1's and f2's as rows.
 
         Its outputs are member first, and its sgd_step steps member i on
         (X[i], y[i]), checking both losses before updating either. Each
-        member's params are rebound as views into the stacks, so a member
+        member's vector is rebound to its row of the stack, so a member
         still predicts, flattens and steps on its own.
         """
         if f1.arch != f2.arch:
@@ -346,47 +355,88 @@ class SoftmaxLearner(Learner):
                 f"paired learners need one (c, d, hidden), got {f1.arch} and {f2.arch}"
             )
         stacked = copy.copy(f1)
-        stacked.params = {k: np.stack([f1.params[k], f2.params[k]]) for k in f1.params}
+        stacked._bind(np.stack([f1._flat, f2._flat]))
         for i, f in enumerate((f1, f2)):
-            f.params = {k: v[i] for k, v in stacked.params.items()}
+            f._bind(stacked._flat[i])
         return stacked
 
     def predict_proba(self, features, true_labels=None) -> np.ndarray:
         return _probabilities(self.params, self.hidden, _feature_matrix(features, self.d))
 
+    def _loss_and_grad(self, X, y, grads: dict[str, np.ndarray]):
+        """Mean cross-entropy per batch; its analytic gradient is written
+        into the arrays of grads. Labels must lie in [0, c), as a
+        LabeledDataset's do."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        y = np.asarray(y, dtype=np.int64)
+        act, logits = _forward(self.params, self.hidden, X)
+        if y.shape != logits.shape[:-1]:
+            # a paired learner needs member-first (2, k) labels, one row per member
+            raise ValueError(
+                f"labels of shape {y.shape} do not fit a batch of {logits.shape[:-1]} rows"
+            )
+        n, c = logits.shape[-2:]
+        log_probs = logits  # shifted by the row maximum, then normalised, in place
+        log_probs -= np.maximum.reduce(log_probs, axis=-1, keepdims=True)
+        log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=-1, keepdims=True))
+        # each row's log-probability of its label, by position in the flat array
+        picked = log_probs.take(np.arange(0, y.size * c, c).reshape(y.shape) + y)
+        # sum / n is what ndarray.mean computes, without its Python-level overhead
+        loss = -np.add.reduce(picked, axis=-1) / n
+
+        dlogits = np.exp(log_probs, out=log_probs)
+        # subtracting one-hot rows is exact off the label, as x - 0.0 == x
+        dlogits -= self._onehot.take(y, axis=0)
+        dlogits /= n
+        if self.hidden is None:
+            np.matmul(X.swapaxes(-1, -2), dlogits, out=grads["w"])
+            np.add.reduce(dlogits, axis=-2, out=grads["b"])
+            return loss
+        dpre = dlogits @ self.params["w2"].swapaxes(-1, -2)
+        dpre *= act > 0.0
+        np.matmul(X.swapaxes(-1, -2), dpre, out=grads["w1"])
+        np.add.reduce(dpre, axis=-2, out=grads["b1"])
+        np.matmul(act.swapaxes(-1, -2), dlogits, out=grads["w2"])
+        np.add.reduce(dlogits, axis=-2, out=grads["b2"])
+        return loss
+
     def loss_and_grad(
         self, X: np.ndarray, y: np.ndarray
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean cross-entropy over the batch and its analytic gradient."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return _loss_and_grad(self.params, self.hidden, X, np.asarray(y, dtype=np.int64))
+        grads = self._views(np.empty_like(self._flat))
+        return self._loss_and_grad(X, y, grads), grads
 
     def sgd_step(self, X: np.ndarray, y: np.ndarray, lr: float) -> float | np.ndarray:
-        loss, grads = self.loss_and_grad(X, y)
+        loss = self._loss_and_grad(X, y, self._grads)
         _check_loss(loss)
-        for name, g in grads.items():
-            self.params[name] -= lr * g
+        self._flat -= lr * self._grad
         return loss
 
     def train(self, D: LabeledDataset) -> "SoftmaxLearner":
-        for rows in _schedule(D.n, self.cfg):
-            self.sgd_step(D.features[rows], D.observed_labels[rows], self.cfg.learning_rate)
+        if D.n == 0:
+            raise ValueError("cannot train on an empty dataset")
+        size = self.cfg.batch_size
+        for order in _epochs(D.n, self.cfg):
+            # one gather per epoch; each batch is then a slice of it
+            X, y = D.features[order], D.observed_labels[order]
+            for start in range(0, D.n, size):
+                self.sgd_step(X[start : start + size], y[start : start + size],
+                              self.cfg.learning_rate)
         return self
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([self.params[k].ravel() for k in sorted(self.params)])
+        """A copy of the parameter vector; a pair's has one row per member."""
+        return self._flat.copy()
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         """Overwrite the parameters in place, so a pairing stays intact."""
-        offset = 0
-        for k in sorted(self.params):
-            size = self.params[k].size
-            self.params[k][...] = flat[offset : offset + size].reshape(self.params[k].shape)
-            offset += size
+        self._flat[...] = flat
 
     def flat_grad(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        _, grads = self.loss_and_grad(X, y)
-        return np.concatenate([grads[k].ravel() for k in sorted(grads)])
+        grad = np.empty_like(self._flat)
+        self._loss_and_grad(X, y, self._views(grad))
+        return grad
 
     def mean_loss(self, X: np.ndarray, y: np.ndarray) -> float:
         return self.loss_and_grad(X, y)[0]

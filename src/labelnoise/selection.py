@@ -298,10 +298,11 @@ def selection_metrics(selected_ids, D: LabeledDataset) -> SelectionMetrics:
     """
     if D.true_labels is None:
         raise ValueError("selection metrics need a dataset with true labels")
-    ids = np.asarray(sorted(set(int(i) for i in selected_ids)), dtype=np.int64)
-    if len(np.setdiff1d(ids, D.ids)) > 0:
+    # duplicates are harmless: D.subset keeps each matching row once
+    ids = np.asarray(selected_ids, dtype=np.int64)
+    if not np.isin(ids, D.ids).all():
         raise ValueError("selected ids are not a subset of the dataset ids")
-    if len(ids) == 0:
+    if ids.size == 0:
         raise UndefinedMetricError("label precision is undefined for an empty selection")
     clean_all = D.observed_labels == D.true_labels
     if not clean_all.any():

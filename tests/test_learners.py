@@ -408,6 +408,32 @@ def test_softmax_flat_params_round_trip():
     assert np.array_equal(learner.flat_params(), flat)
 
 
+def test_softmax_empty_trainset_rejected(tiny_blobs):
+    learner = SoftmaxLearner(4, 3, softmax_cfg())
+    with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+        learner.train(tiny_blobs.subset([]))
+
+
+def test_softmax_returned_arrays_do_not_alias_the_learner():
+    # sgd_step reuses its gradient buffer and updates the parameter vector
+    # in place; nothing handed out may share memory with either
+    f1, f2 = lone_pair(3, 4, 5)
+    X, y = random_features(6, 4, seed=8), np.array([0, 1, 2, 0, 1, 2])
+    pair = SoftmaxLearner.pair(f1, f2)
+    for learner, Xb, yb in ((f1, X, y), (pair, np.stack([X, X]), np.stack([y, y[::-1]]))):
+        loss, grads = learner.loss_and_grad(Xb, yb)
+        returned = [learner.flat_grad(Xb, yb), learner.flat_params(), *grads.values()]
+        kept = [a.copy() for a in returned]
+        step_loss = learner.sgd_step(Xb, yb, 0.5)
+        learner.sgd_step(Xb, yb, 0.5)
+        assert np.array_equal(step_loss, loss)
+        assert all(np.array_equal(a, b) for a, b in zip(returned, kept))
+        before = learner.flat_params()
+        for a in returned:
+            a[...] = np.nan
+        assert np.array_equal(learner.flat_params(), before)
+
+
 # ---------------------------------------------------------------------------
 # paired softmax learners
 
@@ -499,6 +525,102 @@ def test_pair_train_matches_two_lone_trains(sizes, lrs, tiny_blobs):
     train_pair(*members, tiny_blobs.features, tiny_blobs.observed_labels, rows)
     for f, g in zip(lone, members):
         assert np.array_equal(f.flat_params(), g.flat_params())
+
+
+# ---------------------------------------------------------------------------
+# the SGD step against a per-array reference
+#
+# The reference below is the plain form of the softmax math: one fresh array
+# per operation, labels picked by a 2-d fancy index, and each parameter
+# updated on its own. SoftmaxLearner computes the same float operations in
+# the same order, but in place, into out= buffers and on one flat vector.
+# These tests fail loudly on a BLAS or numpy build that rounds those forms
+# differently, because every selection and co-training result would move.
+
+
+def reference_forward(params, hidden, X):
+    if hidden is None:
+        return None, X @ params["w"] + params["b"][..., None, :]
+    act = np.maximum(X @ params["w1"] + params["b1"][..., None, :], 0.0)
+    return act, act @ params["w2"] + params["b2"][..., None, :]
+
+
+def reference_probabilities(params, hidden, X):
+    _, logits = reference_forward(params, hidden, X)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_step(params, hidden, X, y, lr):
+    act, logits = reference_forward(params, hidden, X)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    log_probs = shifted - log_z[..., None]
+    n, c = log_probs.shape[-2:]
+    pick = (np.arange(y.size), y.ravel())
+    loss = -log_probs.reshape(-1, c)[pick].reshape(y.shape).sum(axis=-1) / n
+    dlogits = np.exp(log_probs)
+    dlogits.reshape(-1, c)[pick] -= 1.0
+    dlogits /= n
+    if hidden is None:
+        grads = {"w": X.swapaxes(-1, -2) @ dlogits, "b": dlogits.sum(axis=-2)}
+    else:
+        dpre = (dlogits @ params["w2"].swapaxes(-1, -2)) * (act > 0.0)
+        grads = {
+            "w1": X.swapaxes(-1, -2) @ dpre,
+            "b1": dpre.sum(axis=-2),
+            "w2": act.swapaxes(-1, -2) @ dlogits,
+            "b2": dlogits.sum(axis=-2),
+        }
+    for name, g in grads.items():
+        params[name] -= lr * g
+    return loss
+
+
+def assert_same_bits(learner, params, probe):
+    for name, value in params.items():
+        assert learner.params[name].tobytes() == value.tobytes(), name
+    expected = reference_probabilities(params, learner.hidden, probe)
+    assert learner.predict_proba(probe).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [None, 32, 64])
+@pytest.mark.parametrize(
+    "c, d, k",
+    [(10, 10, 32), (10, 10, 8), (10, 10, 29), (10, 32, 128)],
+    ids=["desk", "desk-short", "desk-odd", "scale"],
+)
+def test_sgd_steps_are_bit_identical_to_the_reference(c, d, k, hidden):
+    rng = np.random.default_rng(c * d + k)
+    lone = SoftmaxLearner(c, d, softmax_cfg(seed=3), hidden)
+    ref_lone = {name: v.copy() for name, v in lone.params.items()}
+    f1, f2 = lone_pair(c, d, hidden)
+    ref_pair = {name: np.stack([f1.params[name], f2.params[name]]) for name in f1.params}
+    pair = SoftmaxLearner.pair(f1, f2)
+    for _ in range(300):
+        X, y = rng.standard_normal((2, k, d)), rng.integers(0, c, (2, k))
+        assert lone.sgd_step(X[0], y[0], 0.3) == reference_step(ref_lone, hidden, X[0], y[0], 0.3)
+        assert np.array_equal(pair.sgd_step(X, y, 0.3), reference_step(ref_pair, hidden, X, y, 0.3))
+    probe = rng.standard_normal((40, d))
+    assert_same_bits(lone, ref_lone, probe)
+    assert_same_bits(pair, ref_pair, probe)
+
+
+@pytest.mark.parametrize("hidden", [None, 32])
+def test_train_is_bit_identical_to_the_reference(hidden, tiny_blobs):
+    # 100 rows in batches of 12: every epoch ends on a short batch of 4
+    cfg = softmax_cfg(epochs=7, batch_size=12, seed=9)
+    learner = SoftmaxLearner(4, 3, cfg, hidden)
+    params = {name: v.copy() for name, v in learner.params.items()}
+    learner.train(tiny_blobs)
+    rng = np.random.default_rng(cfg.seed + 1)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(tiny_blobs.n)
+        for start in range(0, tiny_blobs.n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            reference_step(params, hidden, tiny_blobs.features[rows],
+                           tiny_blobs.observed_labels[rows], cfg.learning_rate)
+    assert_same_bits(learner, params, random_features(20, 3, seed=4))
 
 
 # ---------------------------------------------------------------------------
