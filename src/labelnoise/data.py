@@ -121,7 +121,7 @@ class LabeledDataset:
         ):
             if vec is not None and vec.shape != (n,):
                 raise ValueError(f"{name} has shape {vec.shape}, expected ({n},)")
-        if len(np.unique(ids)) != n:
+        if len(_sorted_unique(ids)) != n:
             raise ValueError("sample ids must be unique")
         for name, vec in (("observed", observed), ("true", self.true_labels)):
             if vec is not None and vec.size and (vec.min() < 0 or vec.max() >= self.c):
@@ -140,7 +140,9 @@ class LabeledDataset:
 
     def subset(self, ids) -> "LabeledDataset":
         """Rows whose id is in `ids`, in the stored row order."""
-        wanted = np.unique(np.asarray(list(ids), dtype=np.int64))
+        if not isinstance(ids, np.ndarray):
+            ids = list(ids)
+        wanted = _sorted_unique(np.asarray(ids, dtype=np.int64))
         mask = np.isin(self.ids, wanted)
         if mask.sum() != len(wanted):
             raise ValueError(
@@ -156,6 +158,15 @@ class LabeledDataset:
             ids=self.ids[rows],
             true_labels=None if self.true_labels is None else self.true_labels[rows],
         )
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) by a sort and a neighbour compare, which on numpy
+    2.4 is many times faster than np.unique's hash-based path for int64."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def make_blobs(spec: BlobSpec) -> LabeledDataset:

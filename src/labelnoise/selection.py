@@ -12,7 +12,7 @@ also discarding the largest-loss disagreeing samples.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,17 +37,6 @@ class IterationRecord:
     n_r2: int
     acc1: float
     acc2: float
-
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "n_s1": self.n_s1,
-            "n_s2": self.n_s2,
-            "n_r1": self.n_r1,
-            "n_r2": self.n_r2,
-            "acc1": self.acc1,
-            "acc2": self.acc2,
-        }
 
 
 @dataclass(frozen=True)
@@ -74,7 +63,7 @@ class SelectionResult:
             "candidate": [int(i) for i in self.candidate],
             "removed": [int(i) for i in self.removed],
             "epsilon_hat": float(self.epsilon_hat),
-            "history": [h.to_dict() for h in self.history],
+            "history": [asdict(h) for h in self.history],
             "halt_reason": self.halt_reason,
         }
 
@@ -109,18 +98,15 @@ def selection_result_from_json(payload: dict) -> SelectionResult:
 class SelectionMetrics:
     """Label precision/recall of a selected subset against true labels.
 
-    Per-class vectors are grouped by true class. Classes without support
-    for a ratio carry NaN there and are listed in the matching flag tuple
-    rather than being silently zeroed.
+    Per-class vectors are grouped by true class. A class with no selected
+    sample has NaN label precision, and a class with no clean sample in
+    the dataset has NaN label recall; neither is silently zeroed.
     """
 
     lp: float
     lr: float
     lp_i: np.ndarray
     lr_i: np.ndarray
-    confusion: np.ndarray
-    no_selected_support: tuple[int, ...]
-    no_clean_support: tuple[int, ...]
 
     @property
     def eps_s(self) -> float:
@@ -268,6 +254,20 @@ def ncv(
     )
 
 
+def _joint_counts(true, other, c: int) -> np.ndarray:
+    """c x c integer counts: entry ij is the number of samples with true
+    label i and other label j. Labels outside [0, c) are rejected."""
+    true = np.asarray(true, dtype=np.int64)
+    other = np.asarray(other, dtype=np.int64)
+    if true.shape != other.shape:
+        raise ValueError(f"length mismatch: {other.shape} vs {true.shape}")
+    if true.size:
+        lo, hi = min(true.min(), other.min()), max(true.max(), other.max())
+        if lo < 0 or hi >= c:
+            raise ValueError(f"labels must lie in [0, {c}), got range [{lo}, {hi}]")
+    return np.bincount(true * c + other, minlength=c * c).reshape(c, c)
+
+
 def confusion_matrix(
     predictions: np.ndarray, true_labels: np.ndarray, c: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,73 +276,47 @@ def confusion_matrix(
     Returns (matrix, zero_support) where zero_support marks true classes
     with no samples; those rows are NaN.
     """
-    pred = np.asarray(predictions, dtype=np.int64)
-    true = np.asarray(true_labels, dtype=np.int64)
-    if pred.shape != true.shape:
-        raise ValueError(f"length mismatch: {pred.shape} vs {true.shape}")
-    counts = np.zeros((c, c))
-    np.add.at(counts, (true, pred), 1.0)
+    counts = _joint_counts(true_labels, predictions, c)
     support = counts.sum(axis=1)
-    zero = support == 0
-    matrix = np.full((c, c), np.nan)
-    matrix[~zero] = counts[~zero] / support[~zero, None]
-    return matrix, zero
+    with np.errstate(invalid="ignore"):
+        return counts / support[:, None], support == 0
 
 
 def selection_metrics(selected_ids, D: LabeledDataset) -> SelectionMetrics:
     """Label precision/recall (overall and per true class) of a selection.
 
-    The confusion matrix is the observed-versus-true label confusion
-    restricted to the selected subset: how the selection's labels are
-    actually distributed given each true class.
+    Everything is read off two true-versus-observed label count matrices,
+    one over D and one over the selected rows: their diagonals count the
+    clean samples and their row sums the samples per true class. So
+    lp_i = clean_S / n_S and lr_i = clean_S / clean_D, where 0/0 gives
+    the NaN of a class without support. Duplicate ids count once.
     """
     if D.true_labels is None:
         raise ValueError("selection metrics need a dataset with true labels")
-    # duplicates are harmless: D.subset keeps each matching row once
     ids = np.asarray(selected_ids, dtype=np.int64)
     if not np.isin(ids, D.ids).all():
         raise ValueError("selected ids are not a subset of the dataset ids")
     if ids.size == 0:
         raise UndefinedMetricError("label precision is undefined for an empty selection")
-    clean_all = D.observed_labels == D.true_labels
-    if not clean_all.any():
+    counts_D = _joint_counts(D.true_labels, D.observed_labels, D.c)
+    clean_D = np.diag(counts_D)
+    if clean_D.sum() == 0:
         raise UndefinedMetricError("label recall is undefined: no clean samples exist")
 
-    S = D.subset(ids)
-    clean_S = S.observed_labels == S.true_labels
-    lp = float(clean_S.mean())
-    lr = float(clean_S.sum() / clean_all.sum())
-
-    c = D.c
-    lp_i = np.full(c, np.nan)
-    lr_i = np.full(c, np.nan)
-    no_selected, no_clean = [], []
-    for i in range(c):
-        in_S = S.true_labels == i
-        clean_in_S = float(np.sum(in_S & clean_S))
-        if in_S.any():
-            lp_i[i] = clean_in_S / in_S.sum()
-        else:
-            no_selected.append(i)
-        clean_in_D = np.sum((D.true_labels == i) & clean_all)
-        if clean_in_D > 0:
-            lr_i[i] = clean_in_S / clean_in_D
-        else:
-            no_clean.append(i)
-
-    confusion, zero = confusion_matrix(S.observed_labels, S.true_labels, c)
-    if zero.any():
+    in_S = np.isin(D.ids, ids)
+    counts_S = _joint_counts(D.true_labels[in_S], D.observed_labels[in_S], D.c)
+    clean_S = np.diag(counts_S)
+    n_S = counts_S.sum(axis=1)
+    if (n_S == 0).any():
         warnings.warn(
-            f"classes {np.flatnonzero(zero).tolist()} have no selected samples; "
-            "their confusion rows are NaN",
+            f"classes {np.flatnonzero(n_S == 0).tolist()} have no selected samples; "
+            "their label precision is NaN",
             stacklevel=2,
         )
-    return SelectionMetrics(
-        lp=lp,
-        lr=lr,
-        lp_i=lp_i,
-        lr_i=lr_i,
-        confusion=confusion,
-        no_selected_support=tuple(no_selected),
-        no_clean_support=tuple(no_clean),
-    )
+    with np.errstate(invalid="ignore"):
+        return SelectionMetrics(
+            lp=float(clean_S.sum() / n_S.sum()),
+            lr=float(clean_S.sum() / clean_D.sum()),
+            lp_i=clean_S / n_S,
+            lr_i=clean_S / clean_D,
+        )

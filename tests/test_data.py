@@ -122,6 +122,21 @@ def test_subset_keeps_row_order_and_is_strict():
         D.subset([0, 999])
 
 
+def test_subset_accepts_any_iterable_of_ids():
+    D = blob(npc=5)
+    for ids in ([9, 4, 1, 4], np.array([9, 1, 4, 1]), (i for i in (1, 9, 4)), {4, 9, 1}):
+        assert D.subset(ids).ids.tolist() == [1, 4, 9]
+    assert D.subset([]).n == 0
+    with pytest.raises(ValueError, match="^2 requested ids are not in the dataset$"):
+        D.subset(np.array([0, 999, -1, 999]))
+
+
+def test_duplicate_ids_rejected():
+    with pytest.raises(ValueError, match="sample ids must be unique"):
+        LabeledDataset(features=np.zeros((3, 1)), observed_labels=[0, 1, 0],
+                       ids=[5, 2, 5], c=2)
+
+
 def test_split_half_partitions():
     D = blob(c=3, npc=7)  # n = 21, odd
     a, b = split_half(D, seed=1)

@@ -432,6 +432,15 @@ def test_confusion_length_mismatch_rejected():
         confusion_matrix([0, 1], [0], c=2)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("where", ["predictions", "truth"])
+def test_confusion_rejects_out_of_range_labels(bad, where):
+    pred, true = [0, 1, 2], [0, 1, 2]
+    (pred if where == "predictions" else true)[1] = bad
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        confusion_matrix(pred, true, c=3)
+
+
 # ---------------------------------------------------------------------------
 # selection metrics
 
@@ -455,9 +464,6 @@ def test_metrics_hand_values():
     assert m.eps_s == pytest.approx(0.25)
     np.testing.assert_allclose(m.lp_i, [2 / 3, 1.0])
     np.testing.assert_allclose(m.lr_i, [1.0, 0.5])
-    np.testing.assert_allclose(m.confusion, [[2 / 3, 1 / 3], [0.0, 1.0]])
-    assert m.no_selected_support == ()
-    assert m.no_clean_support == ()
 
 
 def test_metrics_all_clean_selection_is_perfect():
@@ -469,7 +475,6 @@ def test_metrics_all_clean_selection_is_perfect():
     )
     m = selection_metrics(D.ids, D)
     assert m.lp == 1.0 and m.lr == 1.0 and m.eps_s == 0.0
-    np.testing.assert_array_equal(m.confusion, np.eye(2))
 
 
 def test_metrics_duplicate_ids_counted_once():
@@ -514,10 +519,61 @@ def test_metrics_flag_unsupported_classes():
     with pytest.warns(UserWarning, match="no selected samples"):
         m = selection_metrics([0, 1, 2, 3], D)
     assert np.isnan(m.lp_i[2]) and np.isnan(m.lr_i[2])
-    assert m.no_selected_support == (2,)
-    assert m.no_clean_support == (2,)
-    assert np.isnan(m.confusion[2]).all()
     assert m.lp == 1.0  # the selected subset itself is clean
+
+
+def test_metrics_class_selected_but_never_clean():
+    # class 2 is selected (ids 4, 5) but none of its samples is clean:
+    # precision 0, recall NaN, and no warning since it has selected samples
+    D = hand_dataset(
+        pred_labels=[0, 0, 1, 1, 0, 1],
+        observed=[0, 0, 1, 1, 0, 1],
+        true=[0, 0, 1, 1, 2, 2],
+        c=3,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = selection_metrics(D.ids, D)
+    assert m.lp_i[2] == 0.0 and np.isnan(m.lr_i[2])
+    np.testing.assert_array_equal(m.lp_i[:2], [1.0, 1.0])
+    np.testing.assert_array_equal(m.lr_i[:2], [1.0, 1.0])
+    assert m.lp == 4 / 6 and m.lr == 1.0
+
+
+def reference_metrics(ids, true, observed, c):
+    """Label precision/recall from scratch: per-class counts over the
+    distinct selected ids (ids are row positions here)."""
+    rows = sorted(set(ids))
+    clean = [true[r] == observed[r] for r in range(len(true))]
+    n_clean_S = sum(clean[r] for r in rows)
+    lp_i, lr_i = [], []
+    for i in range(c):
+        n_S = sum(true[r] == i for r in rows)
+        clean_S = sum(true[r] == i and clean[r] for r in rows)
+        clean_D = sum(true[r] == i and clean[r] for r in range(len(true)))
+        lp_i.append(clean_S / n_S if n_S else float("nan"))
+        lr_i.append(clean_S / clean_D if clean_D else float("nan"))
+    return n_clean_S / len(rows), n_clean_S / sum(clean), lp_i, lr_i
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), c=st.integers(min_value=2, max_value=6))
+def test_metrics_match_a_per_class_reference(data, c):
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    label = st.integers(min_value=0, max_value=c - 1)
+    true = data.draw(st.lists(label, min_size=n, max_size=n))
+    observed = data.draw(st.lists(label, min_size=n, max_size=n))
+    ids = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1))
+    if not any(t == o for t, o in zip(true, observed)):
+        observed[0] = true[0]
+    D = hand_dataset(pred_labels=[0] * n, observed=observed, true=true, c=c)
+    lp, lr, lp_i, lr_i = reference_metrics(ids, true, observed, c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # classes without selected samples
+        m = selection_metrics(ids, D)
+    assert m.lp == lp and m.lr == lr
+    np.testing.assert_array_equal(m.lp_i, lp_i)  # NaN equals NaN here
+    np.testing.assert_array_equal(m.lr_i, lr_i)
 
 
 # ---------------------------------------------------------------------------
