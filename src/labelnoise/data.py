@@ -1,20 +1,28 @@
-"""Synthetic Gaussian-blob datasets, half-splitting, and CSV persistence.
+"""Synthetic Gaussian-blob datasets, half-splitting, and persistence.
 
-A dataset directory holds two files:
+A dataset directory holds three files:
 
   data.csv       header id,f0,...,f{d-1},observed_label[,true_label];
                  floats written with 17 significant digits so a round trip
                  is bit-exact, labels as base-10 integers
-  manifest.json  {"n", "d", "c", "noise", "blob", "schema_version": 1}
+  data.npy       the same rows as one structured array with fields id <i8,
+                 f <f8 (d,), observed_label <i8[, true_label <i8], written
+                 by np.save without pickles
+  manifest.json  {"n", "d", "c", "noise", "blob", "schema_version": 1,
+                  "data_csv_sha256", "data_npy_sha256"}
 
-`write_csv` is the CSV table writer and `write_json` the one JSON writer. `save` writes data.csv in its own fixed row format, byte for
-byte what `write_csv` would write for the same rows.
+`write_csv` is the CSV table writer and `write_json` the one JSON writer.
+`save` writes data.csv in its own fixed row format, byte for byte what
+`write_csv` would write for the same rows.
 
-`load` parses the body of data.csv in one vectorised np.loadtxt pass and
-falls back to a row-by-row parser wherever numpy could read the file
-differently from Python's int() and float(); both accept the same files and
-give the same arrays. A blank line, a comment line or any other malformed
-row is rejected with a SchemaError that names its line.
+`load` reads data.npy only when the manifest records both digests and both
+files on disk still hash to them, so a data.csv edited after `save`, a
+stale or damaged data.npy, or a directory saved without digests is read
+from data.csv. That parse is one vectorised np.loadtxt pass and falls back
+to a row-by-row parser wherever numpy could read the file differently from
+Python's int() and float(); both accept the same files and give the same
+arrays. A blank line, a comment line or any other malformed row is rejected
+with a SchemaError that names its line.
 """
 
 from __future__ import annotations
@@ -267,7 +275,9 @@ def write_json(path: Path, payload) -> None:
 
 def save(D: LabeledDataset, path: str | Path) -> None:
     """Write data.csv with the bytes write_csv would give the same rows:
-    every row has one shape, so one %-format writes them all."""
+    every row has one shape, so one %-format writes them all. Then write
+    the same rows to data.npy, and the sha256 of both files to the
+    manifest, which `load` checks before it trusts data.npy."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     header = (
@@ -292,6 +302,13 @@ def save(D: LabeledDataset, path: str | Path) -> None:
                     D.ids[rows].tolist(), D.features[rows].tolist(), labels[rows].tolist()
                 )
             )
+    table = np.empty(D.n, dtype=_npy_dtype(D.d, D.true_labels is not None))
+    table["id"] = D.ids
+    table["f"] = D.features
+    table["observed_label"] = D.observed_labels
+    if D.true_labels is not None:
+        table["true_label"] = D.true_labels
+    np.save(path / "data.npy", table, allow_pickle=False)
     manifest = {
         "n": D.n,
         "d": D.d,
@@ -299,8 +316,28 @@ def save(D: LabeledDataset, path: str | Path) -> None:
         "noise": D.noise.to_dict() if D.noise is not None else None,
         "blob": D.blob.to_dict() if D.blob is not None else None,
         "schema_version": SCHEMA_VERSION,
+        "data_csv_sha256": _sha256(path / "data.csv"),
+        "data_npy_sha256": _sha256(path / "data.npy"),
     }
     write_json(path / "manifest.json", manifest)
+
+
+def _npy_dtype(d: int, has_true: bool) -> np.dtype:
+    """The row dtype of data.npy, little-endian on every platform."""
+    fields = [("id", "<i8"), ("f", "<f8", (d,)), ("observed_label", "<i8")]
+    return np.dtype(fields + ([("true_label", "<i8")] if has_true else []))
+
+
+def _sha256(path: Path) -> str:
+    # imported here: hashlib adds about 5 ms to `import labelnoise.cli`,
+    # which commands that read no dataset need not pay
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def load(path: str | Path) -> LabeledDataset:
@@ -325,26 +362,17 @@ def load(path: str | Path) -> LabeledDataset:
         except KeyError as exc:
             raise SchemaError(f"manifest.json: missing field '{key}.{exc.args[0]}'") from None
 
-    csv_path = path / "data.csv"
-    with open(csv_path, newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise SchemaError("data.csv is empty", line=1)
-        expected = ["id"] + [f"f{j}" for j in range(d)] + ["observed_label"]
-        has_true = header == expected + ["true_label"]
-        if not has_true and header != expected:
-            missing = [col for col in expected if col not in header]
-            if missing:
-                raise SchemaError(f"missing column(s) {missing}", line=1)
-            raise SchemaError(f"unexpected header {header}", line=1)
-        columns = _parse_vectorised(fh, n, d, has_true)
-    if columns is None:
-        columns = _parse_rows(csv_path, n, d, has_true)
-    ids, features, observed, true = columns
+    csv_path, npy_path = path / "data.csv", path / "data.npy"
+    digests = (manifest.get("data_csv_sha256"), manifest.get("data_npy_sha256"))
+    recorded = None not in digests and npy_path.exists()
+    if recorded and digests == (_sha256(csv_path), _sha256(npy_path)):
+        ids, features, observed, true = _read_npy(npy_path, n, d)
+    else:
+        ids, features, observed, true = _read_csv(csv_path, n, d)
 
     # value checks run vectorised after the parse; the first bad row names
-    # the line (row 0 is line 2, after the header)
+    # the line (row 0 is line 2, after the header; data.npy holds the rows
+    # of data.csv in its order)
     for name, vec in (("observed_label", observed), ("true_label", true)):
         if vec is None:
             continue
@@ -369,6 +397,44 @@ def load(path: str | Path) -> LabeledDataset:
         noise=specs["noise"],
         blob=specs["blob"],
     )
+
+
+def _read_npy(npy_path: Path, n: int, d: int):
+    """The columns of data.npy, after checking its dtype against the
+    manifest's d and its row count against n."""
+    table = np.load(npy_path, allow_pickle=False)
+    has_true = table.dtype.names[-1] == "true_label"
+    if table.dtype != _npy_dtype(d, has_true):
+        raise SchemaError(f"manifest declares d={d} but data.npy has dtype {table.dtype}")
+    if table.shape != (n,):
+        raise SchemaError(f"manifest declares n={n} but data.npy has shape {table.shape}")
+    return (
+        table["id"].copy(),
+        table["f"].copy(),
+        table["observed_label"].copy(),
+        table["true_label"].copy() if has_true else None,
+    )
+
+
+def _read_csv(csv_path: Path, n: int, d: int):
+    """The columns of data.csv, after checking its header against the
+    manifest's d."""
+    with open(csv_path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise SchemaError("data.csv is empty", line=1)
+        expected = ["id"] + [f"f{j}" for j in range(d)] + ["observed_label"]
+        has_true = header == expected + ["true_label"]
+        if not has_true and header != expected:
+            missing = [col for col in expected if col not in header]
+            if missing:
+                raise SchemaError(f"missing column(s) {missing}", line=1)
+            raise SchemaError(f"unexpected header {header}", line=1)
+        columns = _parse_vectorised(fh, n, d, has_true)
+    if columns is None:
+        columns = _parse_rows(csv_path, n, d, has_true)
+    return columns
 
 
 def _parse_vectorised(fh, n: int, d: int, has_true: bool):

@@ -12,7 +12,7 @@ also discarding the largest-loss disagreeing samples.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -68,18 +68,17 @@ class SelectionResult:
         }
 
 
+# each IterationRecord field with the cast for its type (a string under
+# postponed annotations); a field of another type fails here, at import
+_HISTORY_FIELDS = tuple(
+    (f.name, {"int": int, "float": float}[f.type]) for f in fields(IterationRecord)
+)
+
+
 def selection_result_from_json(payload: dict) -> SelectionResult:
     try:
         history = tuple(
-            IterationRecord(
-                iteration=int(h["iteration"]),
-                n_s1=int(h["n_s1"]),
-                n_s2=int(h["n_s2"]),
-                n_r1=int(h["n_r1"]),
-                n_r2=int(h["n_r2"]),
-                acc1=float(h["acc1"]),
-                acc2=float(h["acc2"]),
-            )
+            IterationRecord(**{name: cast(h[name]) for name, cast in _HISTORY_FIELDS})
             for h in payload["history"]
         )
         return SelectionResult(

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -170,16 +172,43 @@ def test_split_per_class_counts_and_disjoint():
         split_per_class(D, 11)
 
 
+_DIGESTS = ("data_csv_sha256", "data_npy_sha256")
+
+
+def _load_from_data_csv(ds, dropped=_DIGESTS):
+    """Load ds after deleting the `dropped` manifest keys (both digests by
+    default, as in a directory saved before data.npy existed), asserting the
+    rows come from one np.loadtxt pass over data.csv. An empty dataset goes
+    on to the row parser, as it always has."""
+    manifest = json.loads((ds / "manifest.json").read_text())
+    for key in dropped:
+        del manifest[key]
+    data_mod.write_json(ds / "manifest.json", manifest)
+
+    def row_parser(*args):
+        raise AssertionError("fell back to the row parser")
+
+    passes = []
+    parse = data_mod._parse_vectorised
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_mod, "_parse_vectorised", lambda *a: passes.append(1) or parse(*a))
+        if manifest["n"] > 0:
+            mp.setattr(data_mod, "_parse_rows", row_parser)
+        back = load(ds)
+    assert passes == [1]
+    return back
+
+
 def test_save_load_round_trip_bit_exact(tmp_path):
     D = corrupt_dataset(blob(npc=30), NoiseSpec(kind="asymmetric", ratio=0.3, seed=2))
     save(D, tmp_path / "ds")
-    back = load(tmp_path / "ds")
-    assert np.array_equal(back.features, D.features)
-    assert np.array_equal(back.observed_labels, D.observed_labels)
-    assert np.array_equal(back.true_labels, D.true_labels)
-    assert np.array_equal(back.ids, D.ids)
-    assert back.c == D.c
-    assert back.noise == D.noise
+    for back in (load(tmp_path / "ds"), _load_from_data_csv(tmp_path / "ds")):
+        assert np.array_equal(back.features, D.features)
+        assert np.array_equal(back.observed_labels, D.observed_labels)
+        assert np.array_equal(back.true_labels, D.true_labels)
+        assert np.array_equal(back.ids, D.ids)
+        assert back.c == D.c
+        assert back.noise == D.noise
 
 
 def test_save_writes_golden_bytes(tmp_path):
@@ -229,8 +258,9 @@ def test_save_load_without_truth(tmp_path):
         features=D.features, observed_labels=D.observed_labels, ids=D.ids, c=D.c
     )
     save(bare, tmp_path / "ds")
-    back = load(tmp_path / "ds")
-    assert back.true_labels is None
+    for back in (load(tmp_path / "ds"), _load_from_data_csv(tmp_path / "ds")):
+        assert back.true_labels is None
+        assert np.array_equal(back.features, D.features)
 
 
 def test_save_writes_manifest_fields(tmp_path):
@@ -354,16 +384,113 @@ def test_load_contract_matches_the_row_parser(tmp_path, lines, newline, expected
             assert back.true_labels.tolist() == [0, 2, 2]
 
 
-def test_load_parses_a_written_file_in_one_vectorised_pass(tmp_path, monkeypatch):
-    def row_parser(*args):
-        raise AssertionError("fell back to the row parser")
-
-    monkeypatch.setattr(data_mod, "_parse_rows", row_parser)
+def test_load_parses_a_written_file_in_one_vectorised_pass(tmp_path):
+    # without the digests, as a directory saved before data.npy existed;
+    # the CSV pass must give the data.npy path's bits
     D = corrupt_dataset(blob(npc=30), NoiseSpec(kind="symmetric", ratio=0.3, seed=2))
     save(D, tmp_path / "ds")
-    back = load(tmp_path / "ds")
-    assert np.array_equal(back.features, D.features)
+    from_npy = load(tmp_path / "ds")
+    back = _load_from_data_csv(tmp_path / "ds")
+    _assert_same_bits(back, D)
+    assert np.array_equal(back.features.view(np.uint64), from_npy.features.view(np.uint64))
     assert back.features.flags.c_contiguous and back.ids.flags.c_contiguous
+
+
+def _refuse(*args):
+    raise AssertionError("parsed data.csv")
+
+
+def _noisy(npc=30):
+    return corrupt_dataset(blob(npc=npc), NoiseSpec(kind="symmetric", ratio=0.3, seed=2))
+
+
+def _assert_same_bits(back, D):
+    assert np.array_equal(back.features.view(np.uint64), D.features.view(np.uint64))
+    assert np.array_equal(back.ids, D.ids)
+    assert np.array_equal(back.observed_labels, D.observed_labels)
+    assert np.array_equal(back.true_labels, D.true_labels)
+
+
+def test_load_reads_a_saved_dataset_from_data_npy(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_mod, "_parse_vectorised", _refuse)
+    monkeypatch.setattr(data_mod, "_parse_rows", _refuse)
+    D = _noisy()
+    save(D, tmp_path / "ds")
+    back = load(tmp_path / "ds")
+    _assert_same_bits(back, D)
+    assert back.noise == D.noise and back.blob == D.blob
+    assert back.features.flags.c_contiguous and back.ids.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "dropped, remove_npy",
+    [(("data_csv_sha256",), False), (("data_npy_sha256",), False), ((), True)],
+    ids=["no-csv-digest", "no-npy-digest", "no-data-npy"],
+)
+def test_load_without_both_digests_parses_data_csv(tmp_path, dropped, remove_npy):
+    # test_load_parses_a_written_file_in_one_vectorised_pass drops both
+    D = _noisy()
+    ds = tmp_path / "ds"
+    save(D, ds)
+    if remove_npy:
+        (ds / "data.npy").unlink()
+    _assert_same_bits(_load_from_data_csv(ds, dropped), D)
+
+
+def test_load_falls_back_to_data_csv_on_a_damaged_data_npy(tmp_path):
+    D = _noisy()
+    ds = tmp_path / "ds"
+    save(D, ds)
+    raw = bytearray((ds / "data.npy").read_bytes())
+    raw[-D.n * (D.d + 3) * 8 + 8] ^= 0xFF  # the lowest byte of row 0's f0
+    (ds / "data.npy").write_bytes(bytes(raw))
+    assert np.load(ds / "data.npy")["f"][0, 0] != D.features[0, 0]
+    _assert_same_bits(_load_from_data_csv(ds, dropped=()), D)
+
+
+def test_save_writes_golden_data_npy(tmp_path):
+    D = LabeledDataset(
+        features=[[0.1, -0.0], [1 / 3, 1e-300]],
+        observed_labels=[0, 1],
+        ids=[7, 2**53 + 1],
+        c=2,
+        true_labels=[1, 1],
+    )
+    save(D, tmp_path / "ds")
+    header = (
+        "{'descr': [('id', '<i8'), ('f', '<f8', (2,)), ('observed_label', '<i8'), "
+        "('true_label', '<i8')], 'fortran_order': False, 'shape': (2,), }"
+    )
+    expected = (
+        b"\x93NUMPY\x01\x00\xb6\x00"
+        + header.ljust(181).encode()
+        + b"\n"
+        + struct.pack("<q2dqq", 7, 0.1, -0.0, 0, 1)
+        + struct.pack("<q2dqq", 2**53 + 1, 1 / 3, 1e-300, 1, 1)
+    )
+    assert (tmp_path / "ds" / "data.npy").read_bytes() == expected
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    assert manifest["data_npy_sha256"] == hashlib.sha256(expected).hexdigest()
+    csv_bytes = (tmp_path / "ds" / "data.csv").read_bytes()
+    assert manifest["data_csv_sha256"] == hashlib.sha256(csv_bytes).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("n", 5, "manifest declares n=5 but data.npy has shape (9,)"),
+     ("d", 3, "manifest declares d=3 but data.npy has dtype "
+              "[('id', '<i8'), ('f', '<f8', (2,)), ('observed_label', '<i8'), ('true_label', '<i8')]")],
+    ids=["n", "d"],
+)
+def test_load_checks_data_npy_against_the_manifest(tmp_path, key, value, message):
+    save(blob(npc=3), tmp_path / "ds")
+    manifest_path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError) as excinfo:
+        load(tmp_path / "ds")
+    assert str(excinfo.value) == message
 
 
 def test_empty_dataset_round_trip_emits_no_warning(tmp_path):
@@ -372,8 +499,9 @@ def test_empty_dataset_round_trip_emits_no_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         save(D, tmp_path / "ds")
-        back = load(tmp_path / "ds")
-    assert back.n == 0 and back.d == 3 and back.true_labels.shape == (0,)
+        backs = (load(tmp_path / "ds"), _load_from_data_csv(tmp_path / "ds"))
+    for back in backs:
+        assert back.n == 0 and back.d == 3 and back.true_labels.shape == (0,)
 
 
 _float_bits = st.one_of(
@@ -393,8 +521,8 @@ def test_save_load_round_trips_float_bit_patterns(bits, tmp_path_factory):
                        ids=np.arange(len(features)), c=2)
     ds = tmp_path_factory.mktemp("ds") / "ds"
     save(D, ds)
-    back = load(ds)
-    assert np.array_equal(back.features.view(np.uint64), features.view(np.uint64))
+    for back in (load(ds), _load_from_data_csv(ds)):
+        assert np.array_equal(back.features.view(np.uint64), features.view(np.uint64))
     # the row-by-row parser, kept as the reference, reads the same bits
     ref = data_mod._parse_rows(ds / "data.csv", D.n, D.d, False)
     assert np.array_equal(ref[1].view(np.uint64), features.view(np.uint64))
@@ -501,6 +629,6 @@ def test_save_load_property_round_trip(seed, tmp_path_factory):
         NoiseSpec(kind="symmetric", ratio=(seed % 5) / 10, seed=seed),
     )
     save(D, tmp / "ds")
-    back = load(tmp / "ds")
-    assert np.array_equal(back.features, D.features)
-    assert np.array_equal(back.observed_labels, D.observed_labels)
+    for back in (load(tmp / "ds"), _load_from_data_csv(tmp / "ds")):
+        assert np.array_equal(back.features, D.features)
+        assert np.array_equal(back.observed_labels, D.observed_labels)

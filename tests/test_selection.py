@@ -403,6 +403,19 @@ def test_result_json_sorts_ids():
     assert restored.halt_reason is None
 
 
+def test_result_json_casts_history_by_field_type():
+    record = {"iteration": 1.0, "n_s1": 4, "n_s2": 3, "n_r1": 0, "n_r2": 1,
+              "acc1": 1, "acc2": 0.75}
+    payload = {"selected": [1], "candidate": [], "removed": [], "epsilon_hat": 0.0,
+               "history": [record], "halt_reason": None}
+    restored = selection_result_from_json(payload).to_json_dict()
+    # json.dumps tells 1 from 1.0, so this pins each field's type and order
+    assert json.dumps(restored["history"]) == json.dumps([{**record, "iteration": 1, "acc1": 1.0}])
+    del record["acc2"]
+    with pytest.raises(ValueError, match="^selection JSON: missing key 'acc2'$"):
+        selection_result_from_json(payload)
+
+
 # ---------------------------------------------------------------------------
 # confusion matrix
 
