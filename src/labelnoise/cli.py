@@ -111,16 +111,25 @@ def _write_table(out: Path, name: str, fmt: str, header, rows) -> None:
 
 
 def cmd_corrupt(args) -> int:
+    mapping = None
+    if args.mapping is not None:
+        if args.noise != "asymmetric":
+            raise UsageError(f"--mapping applies only to --noise asymmetric, not {args.noise}")
+        try:
+            mapping = tuple(int(p) for p in args.mapping.split(","))
+        except ValueError:
+            raise UsageError(
+                f"--mapping must be comma-separated class indices, got {args.mapping!r}"
+            ) from None
     D = data_mod.load(Path(args.in_dir))
     if D.true_labels is None:
         raise ValueError("input dataset has no true labels; nothing to corrupt")
-    mapping = None
-    if args.mapping:
-        mapping = tuple(int(p) for p in args.mapping.split(","))
     spec = NoiseSpec(kind=args.noise, ratio=args.ratio, mapping=mapping, seed=args.seed)
     noisy = data_mod.corrupt_dataset(D, spec)
     out = _out_dir(args)
-    data_mod.save(noisy, out)
+    # corruption changes only labels, so save may copy the input's id and
+    # feature text; `out` stays positional (perfbench's tracer reads args[1])
+    data_mod.save(noisy, out, source=args.in_dir)
     _write_resolved_config(out, args)
     realized = actual_noise_ratio(noisy.observed_labels, D.true_labels)
     print(f"realized noise ratio: {format_float(realized)}")

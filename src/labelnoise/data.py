@@ -13,7 +13,13 @@ A dataset directory holds three files:
 
 `write_csv` is the CSV table writer and `write_json` the one JSON writer.
 `save` writes data.csv in its own fixed row format, byte for byte what
-`write_csv` would write for the same rows.
+`write_csv` would write for the same rows. Given the directory a dataset
+was derived from with its ids and features unchanged (`corrupt` relabels
+its input), `save` copies each row's id and feature text from that
+directory's data.csv instead of formatting it again, but only after both
+of its files match their manifest digests and its data.npy holds the same
+ids and feature bits; those rows are then the text `save` wrote for these
+very values, so the output bytes do not depend on which path ran.
 
 `load` reads data.npy only when the manifest records both digests and both
 files on disk still hash to them, so a data.csv edited after `save`, a
@@ -273,11 +279,18 @@ def write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def save(D: LabeledDataset, path: str | Path) -> None:
+def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) -> None:
     """Write data.csv with the bytes write_csv would give the same rows:
     every row has one shape, so one %-format writes them all. Then write
     the same rows to data.npy, and the sha256 of both files to the
-    manifest, which `load` checks before it trusts data.npy."""
+    manifest, which `load` checks before it trusts data.npy.
+
+    `source` names a saved dataset directory D was derived from with its
+    ids and features unchanged (`corrupt` passes its input). When
+    `_source_csv` verifies it, each row is the source data.csv's text up to
+    the comma before observed_label, then D's labels. That text is what
+    save formatted from these very ids and feature bits, so the bytes are
+    those of formatting every row, which save does otherwise."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     header = (
@@ -289,19 +302,16 @@ def save(D: LabeledDataset, path: str | Path) -> None:
     labels = np.column_stack(
         [D.observed_labels] if D.true_labels is None else [D.observed_labels, D.true_labels]
     )
-    fmt = "%d" + ",%.17g" * D.d + ",%d" * labels.shape[1] + "\n"
+    spliced = None if source is None else _source_csv(D, path, Path(source))
     with open(path / "data.csv", "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        # 4096 rows at a time: tolist() on the whole matrix would hold every
-        # cell as a Python float at once
-        for start in range(0, D.n, 4096):
-            rows = slice(start, start + 4096)
-            fh.writelines(
-                fmt % (i, *x, *y)
-                for i, x, y in zip(
-                    D.ids[rows].tolist(), D.features[rows].tolist(), labels[rows].tolist()
-                )
-            )
+        if spliced is None:
+            fh.writelines(_formatted_rows(D, labels))
+        else:
+            source_csv, source_labels = spliced
+            with open(source_csv, newline="") as src:
+                src.readline()  # the source's header; D's was written above
+                fh.writelines(_spliced_rows(src, source_labels, labels))
     table = np.empty(D.n, dtype=_npy_dtype(D.d, D.true_labels is not None))
     table["id"] = D.ids
     table["f"] = D.features
@@ -320,6 +330,57 @@ def save(D: LabeledDataset, path: str | Path) -> None:
         "data_npy_sha256": _sha256(path / "data.npy"),
     }
     write_json(path / "manifest.json", manifest)
+
+
+def _formatted_rows(D: LabeledDataset, labels: np.ndarray):
+    """The rows of data.csv, formatted 4096 at a time: tolist() on the whole
+    matrix would hold every cell as a Python float at once."""
+    fmt = "%d" + ",%.17g" * D.d + ",%d" * labels.shape[1] + "\n"
+    for start in range(0, D.n, 4096):
+        rows = slice(start, start + 4096)
+        for i, x, y in zip(
+            D.ids[rows].tolist(), D.features[rows].tolist(), labels[rows].tolist()
+        ):
+            yield fmt % (i, *x, *y)
+
+
+def _spliced_rows(src, source_labels: int, labels: np.ndarray):
+    """Each row of `src` (source data.csv past its header) without its
+    `source_labels` label fields, followed by the fields of `labels`."""
+    suffix = ",%d" * labels.shape[1] + "\n"
+    for y, line in zip(labels.tolist(), src):
+        yield line.rsplit(",", source_labels)[0] + suffix % tuple(y)
+
+
+def _source_csv(D: LabeledDataset, path: Path, source: Path):
+    """(source data.csv, its count of label columns) when the source
+    manifest records both digests, both files hash to them (so they are one
+    save's output, as `load` trusts too) and its data.npy has D's layout
+    and D's ids and features byte for byte, else None. Bytes, not ==:
+    -0.0 formats as -0 and 0.0 as 0. Never the data.csv about to be
+    written, which opening it for writing would truncate."""
+    source_csv, source_npy = source / "data.csv", source / "data.npy"
+    dest = path / "data.csv"
+    try:
+        manifest = json.loads((source / "manifest.json").read_text())
+        csv_digest = manifest.get("data_csv_sha256")
+        npy_digest = manifest.get("data_npy_sha256")
+        if (
+            None in (csv_digest, npy_digest)
+            or (dest.exists() and dest.samefile(source_csv))
+            or _sha256(source_npy) != npy_digest
+        ):
+            return None
+        ids, features, _, true = _read_npy(source_npy, D.n, D.d)
+        if (
+            ids.tobytes() != D.ids.tobytes()
+            or features.tobytes() != D.features.tobytes()
+            or _sha256(source_csv) != csv_digest
+        ):
+            return None
+    except (OSError, ValueError):  # ValueError covers json's and _read_npy's SchemaError
+        return None
+    return source_csv, 1 if true is None else 2
 
 
 def _npy_dtype(d: int, has_true: bool) -> np.dtype:
@@ -352,9 +413,15 @@ def load(path: str | Path) -> LabeledDataset:
             f"unsupported schema_version {manifest.get('schema_version')!r}"
         )
     try:
-        n, d, c = int(manifest["n"]), int(manifest["d"]), int(manifest["c"])
+        n, d, c = manifest["n"], manifest["d"], manifest["c"]
     except KeyError as exc:
         raise SchemaError(f"manifest.json: missing field {exc.args[0]!r}") from None
+    for key, value, low in (("n", n, 0), ("d", d, 1), ("c", c, 2)):
+        # type() rather than isinstance(): JSON true is a bool, which is an int
+        if type(value) is not int or value < low:
+            raise SchemaError(
+                f"manifest.json: field {key!r} must be an integer >= {low}, got {value!r}"
+            )
     specs = {}
     for key, spec_type in (("noise", NoiseSpec), ("blob", BlobSpec)):
         try:

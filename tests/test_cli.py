@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 import warnings
@@ -230,6 +231,45 @@ def test_corrupt_custom_mapping_recorded(tmp_path):
     assert run("corrupt", "--in", src, "--noise", "asymmetric", "--ratio", 0.3,
                "--mapping", "1,2,3,0", "--out", out) == 0
     assert data_mod.load(out).noise.mapping == (1, 2, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "noise, mapping",
+    [("symmetric", "1,2,3,0"), ("asymmetric", "1,x"), ("asymmetric", "")],
+    ids=["with-symmetric-noise", "not-integers", "empty"],
+)
+def test_corrupt_mapping_usage_errors_exit_2(tmp_path, capsys, noise, mapping):
+    src = make_input(tmp_path)
+    out = tmp_path / "noisy"
+    assert run("corrupt", "--in", src, "--noise", noise, "--ratio", 0.3,
+               "--mapping", mapping, "--out", out) == 2
+    assert "error: --mapping " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corrupt_saves_with_its_input_as_the_source(tmp_path, monkeypatch):
+    src = make_input(tmp_path)
+    out = tmp_path / "noisy"
+    calls = []
+    save = data_mod.save
+    monkeypatch.setattr(data_mod, "save", lambda *a, **kw: calls.append((a, kw)) or save(*a, **kw))
+    assert run("corrupt", "--in", src, "--noise", "symmetric", "--ratio", 0.3,
+               "--out", out) == 0
+    # the output directory stays the second positional argument, where
+    # perfbench's tracer reads it
+    [(args, kwargs)] = calls
+    assert args[1] == out and kwargs == {"source": str(src)}
+
+
+def test_corrupt_in_place_writes_what_a_fresh_directory_gets(tmp_path):
+    src = make_input(tmp_path)
+    in_place = tmp_path / "in_place"
+    shutil.copytree(src, in_place)
+    noise = ("--noise", "asymmetric", "--ratio", 0.3, "--seed", 4)
+    assert run("corrupt", "--in", src, *noise, "--out", tmp_path / "fresh") == 0
+    assert run("corrupt", "--in", in_place, *noise, "--out", in_place) == 0
+    for name in ("data.csv", "data.npy", "manifest.json"):
+        assert (in_place / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 def test_corrupt_of_an_empty_dataset_reports_zero_without_warnings(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -562,6 +563,145 @@ def test_save_writes_what_write_csv_writes(data, d, with_truth, tmp_path_factory
     assert (tmp / "ds" / "data.csv").read_bytes() == (tmp / "table.csv").read_bytes()
 
 
+_DATASET_FILES = ("data.csv", "data.npy", "manifest.json")
+
+
+def _refused(name):
+    def refuse(*args):
+        raise AssertionError(f"save ran {name}")
+
+    return refuse
+
+
+def _assert_source_save(D2, src, tmp, spliced, out=None):
+    """save(D2, out, source=src) writes the three files save(D2) writes
+    elsewhere, through the splice when `spliced` and through the format
+    path when not: the other path is patched to raise."""
+    out = out or tmp / "from_source"
+    save(D2, tmp / "formatted")
+    refused = "_formatted_rows" if spliced else "_spliced_rows"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_mod, refused, _refused(refused))
+        save(D2, out, source=src)
+    for name in _DATASET_FILES:
+        assert (out / name).read_bytes() == (tmp / "formatted" / name).read_bytes()
+
+
+_NEW_NOISE = NoiseSpec(kind="symmetric", ratio=0.5, seed=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(min_value=0, max_value=4),
+       source_truth=st.booleans(), truth=st.booleans())
+def test_save_from_source_writes_the_formatted_bytes(data, d, source_truth, truth,
+                                                      tmp_path_factory):
+    # arbitrary float64 bit patterns: -0.0, subnormals, extreme exponents,
+    # NaN and infinities; save copies the source's text for all of them
+    ids = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=12))
+    n = len(ids)
+    bits = data.draw(st.lists(_float_bits | _special_bits, min_size=n * d, max_size=n * d))
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    src = LabeledDataset(
+        features=np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, d),
+        observed_labels=data.draw(labels),
+        ids=ids,
+        c=3,
+        true_labels=data.draw(labels) if source_truth else None,
+    )
+    tmp = tmp_path_factory.mktemp("ds")
+    save(src, tmp / "src")
+    D2 = replace(src, observed_labels=data.draw(labels),
+                 true_labels=data.draw(labels) if truth else None, noise=_NEW_NOISE)
+    _assert_source_save(D2, tmp / "src", tmp, spliced=True)
+
+
+@pytest.mark.parametrize("source_truth", [True, False], ids=["source-truth", "source-no-truth"])
+@pytest.mark.parametrize("truth", [True, False], ids=["truth", "no-truth"])
+def test_save_from_source_splices_with_and_without_true_labels(tmp_path, source_truth, truth):
+    D = _noisy()
+    src = D if source_truth else replace(D, true_labels=None)
+    save(src, tmp_path / "src")
+    D2 = corrupt_dataset(D, _NEW_NOISE)
+    if not truth:
+        D2 = replace(D2, true_labels=None)
+    _assert_source_save(D2, tmp_path / "src", tmp_path, spliced=True)
+
+
+def _edit_data_csv(ds, D):
+    # the first feature of the first row, as a hand edit after save would
+    lines = (ds / "data.csv").read_text().split("\n")
+    fields = lines[1].split(",")
+    fields[1] = "99"
+    lines[1] = ",".join(fields)
+    (ds / "data.csv").write_text("\n".join(lines))
+    return D
+
+
+def _drop_manifest_keys(*keys):
+    def drop(ds, D):
+        manifest = json.loads((ds / "manifest.json").read_text())
+        for key in keys:
+            del manifest[key]
+        data_mod.write_json(ds / "manifest.json", manifest)
+        return D
+
+    return drop
+
+
+def _damage_data_npy(ds, D):
+    raw = bytearray((ds / "data.npy").read_bytes())
+    raw[-1] ^= 0xFF  # the last row's last label
+    (ds / "data.npy").write_bytes(bytes(raw))
+    return D
+
+
+def _negate_zero(ds, D):
+    # the source holds 0.0 here, which formats as 0; -0.0 formats as -0
+    features = D.features.copy()
+    features[0, 0] = -0.0
+    return replace(D, features=features)
+
+
+def _reverse_rows(ds, D):
+    return D._take(np.arange(D.n)[::-1])
+
+
+def _shift_ids(ds, D):
+    return replace(D, ids=D.ids + D.n)
+
+
+def _remove_source(ds, D):
+    for name in _DATASET_FILES:
+        (ds / name).unlink()
+    return D
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_edit_data_csv, _drop_manifest_keys(*_DIGESTS), _drop_manifest_keys("data_csv_sha256"),
+     _drop_manifest_keys("data_npy_sha256"), _damage_data_npy, _negate_zero, _reverse_rows,
+     _shift_ids, _remove_source],
+    ids=["edited-data-csv", "no-digests", "no-csv-digest", "no-npy-digest", "damaged-data-npy",
+         "signed-zero", "row-order", "other-ids", "no-source"],
+)
+def test_save_from_an_unverified_source_formats_every_row(tmp_path, edit):
+    D = _noisy()
+    features = D.features.copy()
+    features[0, 0] = 0.0
+    D = replace(D, features=features)
+    save(D, tmp_path / "src")
+    D2 = corrupt_dataset(edit(tmp_path / "src", D), _NEW_NOISE)
+    _assert_source_save(D2, tmp_path / "src", tmp_path, spliced=False)
+
+
+def test_save_over_its_own_source_formats_every_row(tmp_path):
+    # opening data.csv for writing would truncate the text to be copied
+    D = _noisy()
+    save(D, tmp_path / "ds")
+    D2 = corrupt_dataset(D, _NEW_NOISE)
+    _assert_source_save(D2, tmp_path / "ds", tmp_path, spliced=False, out=tmp_path / "ds")
+
+
 def test_load_rejects_unknown_schema_version(tmp_path):
     D = blob(npc=3)
     save(D, tmp_path / "ds")
@@ -588,6 +728,25 @@ def test_load_names_missing_manifest_field(tmp_path, key, nested, name):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(SchemaError, match=f"manifest.json: missing field {name}"):
         load(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", "x"), ("n", 2.5), ("n", -1), ("n", True), ("n", None),
+     ("d", 0), ("d", 2.0), ("c", 1), ("c", False), ("c", [3])],
+)
+def test_load_rejects_a_manifest_count_that_is_not_an_integer_in_range(tmp_path, key, value):
+    save(blob(npc=3), tmp_path / "ds")
+    manifest_path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    low = {"n": 0, "d": 1, "c": 2}[key]
+    with pytest.raises(SchemaError) as excinfo:
+        load(tmp_path / "ds")
+    assert str(excinfo.value) == (
+        f"manifest.json: field {key!r} must be an integer >= {low}, got {value!r}"
+    )
 
 
 def test_load_rejects_label_out_of_manifest_range(tmp_path):
