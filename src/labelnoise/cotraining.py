@@ -195,16 +195,18 @@ def cotrain(
             s_rows = s_stream.take(min(base, S.n - b * base) if b == n_batches - 1 else base)
             bx = S.features[s_rows]
             by = S.observed_labels[s_rows]
-            bids = S.ids[s_rows]
+            c_rows = None
             if not warm and c_stream is not None and b_c > 0:
                 c_rows = c_stream.take(b_c)
                 bx = np.vstack([bx, C.features[c_rows]])
                 by = np.concatenate([by, C.observed_labels[c_rows]])
-                bids = np.concatenate([bids, C.ids[c_rows]])
                 c_used += b_c
             k = keep_count(e, len(by), cfg.eps_s)
             keeps = np.argsort(pair.losses(bx, by), axis=1, kind="stable")[:, :k]
             if on_batch is not None:
+                bids = S.ids[s_rows]
+                if c_rows is not None:
+                    bids = np.concatenate([bids, C.ids[c_rows]])
                 on_batch(e, b, bids, bids[keeps[0]], bids[keeps[1]])
             swapped = keeps[::-1]  # f1 steps on f2's keeps, f2 on f1's
             pair.sgd_step(bx[swapped], by[swapped], lr)

@@ -184,6 +184,7 @@ class KnnLearner(Learner):
         self.c = 0
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
+        self._right: Optional[np.ndarray] = None
 
     def train(self, D: LabeledDataset) -> "KnnLearner":
         if D.n == 0:
@@ -191,33 +192,60 @@ class KnnLearner(Learner):
         self._X = D.features
         self._y = D.observed_labels
         self.c = D.c
+        # right-hand side [X.T; |x|^2; 1] of the one distance GEMM in predict_proba
+        right = np.empty((D.d + 2, D.n))
+        right[:-2] = self._X.T
+        right[-2] = np.einsum("ij,ij->i", self._X, self._X)
+        right[-1] = 1.0
+        self._right = right
         return self
 
     def predict_proba(self, features, true_labels=None) -> np.ndarray:
         if self._X is None:
             raise RuntimeError("learner has not been trained")
-        X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        X = _feature_matrix(features, self._X.shape[1])
         k = min(self.k, len(self._y))
-        train_sq = np.einsum("ij,ij->i", self._X, self._X)
         counts = np.zeros((X.shape[0], self.c))
-        chunk = max(1, min(len(X), KNN_BLOCK_BYTES // (8 * len(self._y))))
-        buf = np.empty((chunk, len(self._y)))
-        for start in range(0, X.shape[0], chunk):
-            block = X[start : start + chunk]
-            m = len(block)
-            d2 = np.matmul(2.0 * block, self._X.T, out=buf[:m])
-            np.subtract(train_sq, d2, out=d2)
-            # the ranking does not need the query norm, but its rounding decides near-ties
-            d2 += np.einsum("ij,ij->i", block, block)[:, None]
+        for start, neg_d2 in self._neg_sq_distances(X):
+            m = len(neg_d2)
             if k == 1:
-                nearest = np.argmin(d2, axis=1)
+                # the first maximum of -d2 is the first minimum of d2: ties go to the lowest row
+                nearest = np.argmax(neg_d2, axis=1)
                 counts[np.arange(start, start + m), self._y[nearest]] = 1.0
             else:
+                d2 = np.negative(neg_d2, out=neg_d2)
                 nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+                # argpartition picks among rows tied at the k-th distance in no
+                # fixed order; take the lowest of them, as k == 1 does
+                kth = d2[np.arange(m), nearest[:, -1]][:, None]
+                for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k):
+                    below = np.flatnonzero(d2[r] < kth[r])
+                    tied = np.flatnonzero(d2[r] == kth[r])
+                    nearest[r] = np.concatenate([below, tied[: k - len(below)]])
                 votes = self._y[nearest]
                 for j in range(self.c):
                     counts[start : start + m, j] = np.sum(votes == j, axis=1)
         return (counts + 1.0) / (k + self.c)
+
+    def _neg_sq_distances(self, X: np.ndarray):
+        """Yield (start, -squared distances) for each block of query rows.
+
+        A block holds at most KNN_BLOCK_BYTES of distances and is a view of
+        one buffer that the next block overwrites. One GEMM makes it:
+        [2q, -1, -|q|^2] @ [t; |t|^2; 1] = -(|t|^2 - 2q.t + |q|^2). The query
+        norm does not change the ranking, but its rounding decides near-ties.
+        """
+        n, d = self._X.shape
+        chunk = max(1, min(len(X), KNN_BLOCK_BYTES // (8 * n)))
+        buf = np.empty((chunk, n))
+        left = np.empty((chunk, d + 2))
+        left[:, -2] = -1.0
+        for start in range(0, len(X), chunk):
+            block = X[start : start + chunk]
+            m = len(block)
+            np.multiply(block, 2.0, out=left[:m, :d])
+            left[:m, -1] = -np.einsum("ij,ij->i", block, block)
+            yield start, np.matmul(left[:m], self._right, out=buf[:m])
 
 
 # --------------------------------------------------------------------------

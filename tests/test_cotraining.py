@@ -293,6 +293,26 @@ def test_candidates_untouched_while_warm():
     assert all(r.c_samples_used == 0 for r in with_c[2].records)
 
 
+def test_batch_hook_reports_candidate_ids_and_changes_nothing():
+    S = blob_set(2)
+    C = corrupt_dataset(blob_set(9), NoiseSpec(kind="symmetric", ratio=0.3, seed=1))
+    C = replace(C, ids=C.ids + 1000)
+    cfg = cotrain_cfg(warmup_epochs=2, total_epochs=4)
+    hooks = []
+    hooked = cotrain(S, C, cfg, linear_factory(),
+                     on_batch=lambda e, b, ids, k1, k2: hooks.append((e, ids, k1, k2)))
+    plain = cotrain(S, C, cfg, linear_factory())
+    assert np.array_equal(hooked[0].flat_params(), plain[0].flat_params())
+    assert np.array_equal(hooked[1].flat_params(), plain[1].flat_params())
+    _, b_c = batch_mix(S.n, C.n, cfg.base_batch)
+    assert b_c > 0
+    for e, ids, k1, k2 in hooks:
+        from_c = ids >= 1000
+        assert from_c.sum() == (0 if e < cfg.warmup_epochs else b_c)
+        assert np.all(from_c[len(ids) - from_c.sum():])  # candidates follow the selected rows
+        assert set(k1.tolist()) | set(k2.tolist()) <= set(ids.tolist())
+
+
 def test_clean_selected_set_reaches_high_accuracy():
     from labelnoise.data import split_per_class
 

@@ -297,6 +297,64 @@ def test_knn_matches_naive_reference(k, block_bytes, monkeypatch):
     )
 
 
+def test_knn_rejects_queries_of_the_wrong_width():
+    learner = KnnLearner().train(knn_trainset(np.zeros((3, 2)), [0, 1, 0], c=2))
+    with pytest.raises(ValueError, match="expected 2 features, got 3"):
+        learner.predict_proba(np.zeros((4, 3)))
+
+
+def three_step_sq_distances(train_X, X):
+    """Squared distances as (|t|^2 - 2q.t) + |q|^2, three passes over the block."""
+    d2 = np.matmul(2.0 * X, train_X.T)
+    np.subtract(np.einsum("ij,ij->i", train_X, train_X), d2, out=d2)
+    d2 += np.einsum("ij,ij->i", X, X)[:, None]
+    return d2
+
+
+def index_learner(train_X, k=1):
+    """A k-NN learner whose class labels are its training row indices."""
+    n = len(train_X)
+    return KnnLearner(k=k).train(knn_trainset(train_X, np.arange(n), c=n))
+
+
+def test_knn_nearest_rows_match_the_three_step_reference_off_near_ties():
+    # 500 training rows: a BLAS shape where some distances move by an ulp
+    rng = np.random.default_rng(41)
+    train_X = rng.standard_normal((500, 10))
+    X = rng.standard_normal((300, 10))
+    ref = three_step_sq_distances(train_X, X)
+    two = np.sort(ref, axis=1)[:, :2]
+    clear = two[:, 1] - two[:, 0] > 1e-12 * two[:, 1]
+    assert clear.sum() > 250
+    nearest = index_learner(train_X).predict_labels(X)
+    assert np.array_equal(nearest[clear], np.argmin(ref, axis=1)[clear])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_duplicated_training_rows_resolve_to_the_lowest_index(k):
+    # 40 rows over 5 integer points: every distance is exact, so ties are real
+    rng = np.random.default_rng(8)
+    points = rng.integers(-3, 4, size=(5, 2)).astype(np.float64)
+    train_X = points[rng.integers(0, 5, size=40)]
+    X = np.vstack([points, rng.integers(-4, 5, size=(30, 2)).astype(np.float64)])
+    probs = index_learner(train_X, k).predict_proba(X)
+    for q, row in zip(X, probs):
+        d2 = np.sum((train_X - q) ** 2, axis=1)
+        expected = np.sort(np.argsort(d2, kind="stable")[:k])
+        assert np.array_equal(np.flatnonzero(row > row.min()), expected)
+
+
+def test_knn_distances_match_the_three_step_reference_bit_for_bit():
+    # simulate's shape; a BLAS that rounds the augmented product differently fails here
+    rng = np.random.default_rng(2)
+    train_X = rng.standard_normal((20_000, 10)) * 2.0
+    X = rng.standard_normal((300, 10)) * 2.0
+    learner = index_learner(train_X)
+    for start, neg_d2 in learner._neg_sq_distances(X):
+        ref = three_step_sq_distances(train_X, X[start : start + len(neg_d2)])
+        assert np.array_equal(-neg_d2, ref)
+
+
 def test_knn_peak_memory_is_bounded_by_the_block_size():
     rng = np.random.default_rng(5)
     train_X = rng.standard_normal((20_000, 10))
