@@ -200,10 +200,13 @@ def cmd_simulate(args) -> int:
     if args.samples < args.classes:
         raise UsageError(f"--samples must be at least --classes, got {args.samples}")
     grid = parse_grid(args.grid)
-    out = _out_dir(args)
     env = os.environ.get("LABNOISE_THREADS")
-    threads = int(env) if env else (os.cpu_count() or 1)
+    try:
+        threads = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise UsageError(f"LABNOISE_THREADS must be an integer, got {env!r}") from None
     threads = max(1, min(threads, max(1, len(grid))))
+    out = _out_dir(args)
     # pool.map yields results in grid order whatever the thread count
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda ie: _simulate_point(args, ie[1], ie[0]), enumerate(grid)))

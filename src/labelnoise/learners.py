@@ -35,6 +35,7 @@ from .noise import TransitionMatrix
 LOSS_CLAMP = 1e-12
 DIVERGENCE_LIMIT = 1e6
 KNN_BLOCK_BYTES = 1 << 22  # k-NN distance block: 4 MiB of float64, cache-sized
+KNN_SCREEN_LIMIT = 1e30  # largest centered (|q| + max |t|)^2 the float32 1-NN screen takes
 
 
 class MissingTrueLabelsError(ValueError):
@@ -185,6 +186,9 @@ class KnnLearner(Learner):
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
         self._right: Optional[np.ndarray] = None
+        self._right32: Optional[np.ndarray] = None
+        self._mean: Optional[np.ndarray] = None
+        self._T = self._Tc = math.nan
 
     def train(self, D: LabeledDataset) -> "KnnLearner":
         if D.n == 0:
@@ -198,6 +202,20 @@ class KnnLearner(Learner):
         right[-2] = np.einsum("ij,ij->i", self._X, self._X)
         right[-1] = 1.0
         self._right = right
+        self._T = math.sqrt(right[-2].max())
+        # the 1-NN screen in _screen runs on features centered by the training
+        # mean, so its float32 error follows the spread of the data, not its offset
+        with np.errstate(invalid="ignore", over="ignore"):
+            self._mean = self._X.mean(axis=0)
+            centered = self._X - self._mean
+            tc_sq = np.einsum("ij,ij->i", centered, centered)
+        self._Tc = math.sqrt(tc_sq.max())
+        self._right32 = None
+        if tc_sq.max() <= KNN_SCREEN_LIMIT:
+            self._right32 = np.empty((D.d + 2, D.n), dtype=np.float32)
+            self._right32[:-2] = centered.T
+            self._right32[-2] = tc_sq
+            self._right32[-1] = 1.0
         return self
 
     def predict_proba(self, features, true_labels=None) -> np.ndarray:
@@ -206,46 +224,107 @@ class KnnLearner(Learner):
         X = _feature_matrix(features, self._X.shape[1])
         k = min(self.k, len(self._y))
         counts = np.zeros((X.shape[0], self.c))
+        if k == 1:
+            counts[np.arange(len(X)), self._y[self._nearest(X)]] = 1.0
+            return (counts + 1.0) / (k + self.c)
         for start, neg_d2 in self._neg_sq_distances(X):
             m = len(neg_d2)
-            if k == 1:
-                # the first maximum of -d2 is the first minimum of d2: ties go to the lowest row
-                nearest = np.argmax(neg_d2, axis=1)
-                counts[np.arange(start, start + m), self._y[nearest]] = 1.0
-            else:
-                d2 = np.negative(neg_d2, out=neg_d2)
-                nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-                # argpartition picks among rows tied at the k-th distance in no
-                # fixed order; take the lowest of them, as k == 1 does
-                kth = d2[np.arange(m), nearest[:, -1]][:, None]
-                for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k):
-                    below = np.flatnonzero(d2[r] < kth[r])
-                    tied = np.flatnonzero(d2[r] == kth[r])
-                    nearest[r] = np.concatenate([below, tied[: k - len(below)]])
-                votes = self._y[nearest]
-                for j in range(self.c):
-                    counts[start : start + m, j] = np.sum(votes == j, axis=1)
+            d2 = np.negative(neg_d2, out=neg_d2)
+            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            # argpartition picks among rows tied at the k-th distance in no
+            # fixed order; take the lowest of them, as k == 1 does
+            kth = d2[np.arange(m), nearest[:, -1]][:, None]
+            for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k):
+                below = np.flatnonzero(d2[r] < kth[r])
+                tied = np.flatnonzero(d2[r] == kth[r])
+                nearest[r] = np.concatenate([below, tied[: k - len(below)]])
+            votes = self._y[nearest]
+            for j in range(self.c):
+                counts[start : start + m, j] = np.sum(votes == j, axis=1)
         return (counts + 1.0) / (k + self.c)
 
-    def _neg_sq_distances(self, X: np.ndarray):
+    def _nearest(self, X: np.ndarray) -> np.ndarray:
+        """Index of each query's nearest training row; ties go to the lowest.
+
+        _screen decides most rows in float32; the float64 kernel
+        (_neg_sq_distances, then argmax) ranks the rest. The answer equals
+        the float64 kernel's over all queries, except where two squared
+        distances lie within about one ulp: a re-ranked row runs in a smaller
+        GEMM, whose sums a BLAS may order differently.
+        """
+        nearest, rerank = self._screen(X)
+        again = np.flatnonzero(rerank)
+        for start, neg_d2 in self._neg_sq_distances(X[again]):
+            # the first maximum of -d2 is the first minimum of d2: ties go to the lowest row
+            nearest[again[start : start + len(neg_d2)]] = np.argmax(neg_d2, axis=1)
+        return nearest
+
+    def _screen(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(float32 nearest row, whether the float64 kernel must re-rank it).
+
+        The float32 GEMM runs on q' = q - mean and t' = t - mean, which have
+        the same distances. For K = d + 2 terms, a float32 entry lies within
+        about (K + 4) 2^-24 (|q'| + T')^2 of the exact distance, centering
+        adds about 2^-52 (|q'| + T')^2, and a float64 entry lies within about
+        (K + 2) 2^-53 (|q| + T)^2 of it, with T and T' the largest training
+        norms. delta doubles the sum, the first two terms rounded up to
+        (K + 5) 2^-24 (|q'| + T')^2, and adds (2K + 4) 2^-149 for float32
+        underflow, so it bounds how far a float32 entry lies from the float64
+        one. A row whose float32 runner-up is below best - 2 delta has the
+        same first maximum in float64; the other rows are re-ranked, as are
+        those float32 cannot hold: (|q'| + T')^2 above KNN_SCREEN_LIMIT, or
+        not finite.
+        """
+        K = self._X.shape[1] + 2
+        nearest = np.zeros(len(X), dtype=np.intp)
+        rerank = np.ones(len(X), dtype=bool)
+        if self._right32 is None:
+            return nearest, rerank
+        # an overflow here makes delta infinite, so those rows are re-ranked
+        with np.errstate(invalid="ignore", over="ignore"):
+            centered = X - self._mean
+            qc_sq = np.einsum("ij,ij->i", centered, centered)
+            # (|q'| + T')^2 <= KNN_SCREEN_LIMIT, written without squaring |q'|; false for nan
+            rows = np.flatnonzero(qc_sq <= (math.sqrt(KNN_SCREEN_LIMIT) - self._Tc) ** 2)
+            q_sq = np.einsum("ij,ij->i", X, X)[rows]
+            delta = (
+                2 * (K + 5) * 2.0**-24 * (np.sqrt(qc_sq[rows]) + self._Tc) ** 2
+                + 2 * (K + 2) * 2.0**-53 * (np.sqrt(q_sq) + self._T) ** 2
+                + (2 * K + 4) * 2.0**-149
+            )
+        for start, B in self._neg_sq_distances(centered[rows], self._right32):
+            m = len(B)
+            at = np.arange(m)
+            best = np.argmax(B, axis=1)
+            top = B[at, best]
+            B[at, best] = -np.inf
+            block = rows[start : start + m]
+            nearest[block] = best
+            rerank[block] = B.max(axis=1) >= top - 2 * delta[start : start + m]
+        return nearest, rerank
+
+    def _neg_sq_distances(self, X: np.ndarray, right: Optional[np.ndarray] = None):
         """Yield (start, -squared distances) for each block of query rows.
 
-        A block holds at most KNN_BLOCK_BYTES of distances and is a view of
-        one buffer that the next block overwrites. One GEMM makes it:
+        right is the augmented training matrix, self._right unless given; it
+        sets the dtype of the GEMM. A block holds at most KNN_BLOCK_BYTES of
+        distances and is a view of one buffer that the next block
+        overwrites. One GEMM makes it:
         [2q, -1, -|q|^2] @ [t; |t|^2; 1] = -(|t|^2 - 2q.t + |q|^2). The query
         norm does not change the ranking, but its rounding decides near-ties.
         """
+        right = self._right if right is None else right
         n, d = self._X.shape
-        chunk = max(1, min(len(X), KNN_BLOCK_BYTES // (8 * n)))
-        buf = np.empty((chunk, n))
-        left = np.empty((chunk, d + 2))
+        chunk = max(1, min(len(X), KNN_BLOCK_BYTES // (right.itemsize * n)))
+        buf = np.empty((chunk, n), dtype=right.dtype)
+        left = np.empty((chunk, d + 2), dtype=right.dtype)
         left[:, -2] = -1.0
         for start in range(0, len(X), chunk):
             block = X[start : start + chunk]
             m = len(block)
             np.multiply(block, 2.0, out=left[:m, :d])
             left[:m, -1] = -np.einsum("ij,ij->i", block, block)
-            yield start, np.matmul(left[:m], self._right, out=buf[:m])
+            yield start, np.matmul(left[:m], right, out=buf[:m])
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import labelnoise
 from labelnoise import data as data_mod
 from labelnoise.cli import (
     REPORT_CSV_HEADER,
@@ -609,6 +611,14 @@ def test_simulate_respects_thread_cap(tmp_path, monkeypatch, learner):
         ).read_bytes()
 
 
+def test_simulate_rejects_a_non_integer_thread_cap_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LABNOISE_THREADS", "abc")
+    out = tmp_path / "o"
+    assert main(["simulate", "--grid", "0.1", "--out", str(out)]) == 2
+    assert "error: LABNOISE_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("learner", ["oracle", "knn"])
 def test_simulate_builds_the_matrix_once_per_point(tmp_path, learner):
     args = build_parser().parse_args(
@@ -642,11 +652,15 @@ def test_simulate_empty_grid(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the package this suite imported, installed or not
+    src = os.path.dirname(os.path.dirname(labelnoise.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "labelnoise", "theory", "--kind", "symmetric",
          "--grid", "0.5", "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "wrote 1 theory points" in proc.stdout

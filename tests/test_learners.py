@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import max_relative_gradient_error
 from labelnoise import learners
-from labelnoise.data import BlobSpec, LabeledDataset, corrupt_dataset, make_blobs
+from labelnoise.data import (
+    BlobSpec,
+    LabeledDataset,
+    corrupt_dataset,
+    make_blobs,
+    split_per_class,
+)
 from labelnoise.learners import (
     DIVERGENCE_LIMIT,
     LOSS_CLAMP,
@@ -353,6 +360,123 @@ def test_knn_distances_match_the_three_step_reference_bit_for_bit():
     for start, neg_d2 in learner._neg_sq_distances(X):
         ref = three_step_sq_distances(train_X, X[start : start + len(neg_d2)])
         assert np.array_equal(-neg_d2, ref)
+
+
+def float64_nearest(learner, X):
+    """The float64 kernel alone: _neg_sq_distances, then the first argmax."""
+    return np.concatenate([np.argmax(b, axis=1) for _, b in learner._neg_sq_distances(X)])
+
+
+@pytest.fixture
+def reranked(monkeypatch):
+    """Row counts that KnnLearner's float64 kernel is asked to rank, one per call."""
+    calls = []
+    kernel = KnnLearner._neg_sq_distances
+
+    def spy(self, X, right=None):
+        if right is None:
+            calls.append(len(X))
+        return kernel(self, X, right)
+
+    monkeypatch.setattr(KnnLearner, "_neg_sq_distances", spy)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    d=st.integers(1, 40),
+    log_scale=st.floats(-3.0, 6.0),
+    offset=st.sampled_from([0.0, 1.0, 100.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_knn_screened_nearest_rows_match_the_float64_kernel_off_near_ties(
+    n, d, log_scale, offset, seed
+):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    train_X = (rng.standard_normal((n, d)) + offset) * scale
+    pairs = rng.integers(0, n, size=(10, 2))
+    # rows 1e-5 apart: a query 1e-3 from them is clear in float64, not in float32
+    train_X[pairs[:, 1]] = train_X[pairs[:, 0]] + 1e-5 * scale * rng.standard_normal((10, d))
+    X = np.vstack([
+        (rng.standard_normal((40, d)) + offset) * scale,
+        train_X[pairs[:, 0]],
+        train_X[pairs[:, 0]] + 1e-3 * scale * rng.standard_normal((10, d)),
+        (train_X[pairs[:, 0]] + train_X[pairs[:, 1]]) / 2,
+    ])
+    learner = index_learner(train_X)
+    neg_d2 = np.vstack([b.copy() for _, b in learner._neg_sq_distances(X)])
+    two = -np.sort(-neg_d2, axis=1)[:, :2]
+    bound = (np.sqrt(np.sum(X**2, axis=1)) + np.sqrt(np.sum(train_X**2, axis=1)).max()) ** 2
+    clear = (two[:, 0] - two[:, -1] > 1e-12 * bound) | (n == 1)
+    nearest = learner._nearest(X)
+    assert np.array_equal(nearest[clear], np.argmax(neg_d2, axis=1)[clear])
+
+
+def test_knn_screen_reranks_a_lone_ambiguous_row(reranked):
+    rng = np.random.default_rng(3)
+    train_X = rng.standard_normal((500, 6))
+    train_X[7] = train_X[3]
+    # each query sits 1e-3 from its own training row, far clear of the runner-up,
+    # except query 20, which ties rows 3 and 7 exactly
+    X = train_X[10:70] + 1e-3 * rng.standard_normal((60, 6))
+    X[20] = train_X[3]
+    learner = index_learner(train_X)
+    nearest = learner._nearest(X)
+    assert reranked == [1]
+    assert nearest[20] == 3
+    assert np.array_equal(nearest, float64_nearest(learner, X))
+
+
+def test_knn_screen_with_one_training_row_reranks_nothing(reranked):
+    learner = index_learner(np.array([[1.0, -2.0]]))
+    X = np.random.default_rng(6).standard_normal((30, 2))
+    assert np.array_equal(learner._nearest(X), np.zeros(30))
+    assert sum(reranked) == 0
+
+
+def test_knn_screen_resolves_duplicated_rows_to_the_lowest_index_at_simulate_shape():
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((5_000, 10)) * 2.0
+    which = rng.integers(0, 5_000, size=20_000)
+    present, first = np.unique(which, return_index=True)
+    X = np.vstack([base[which[:200]], rng.standard_normal((200, 10)) * 2.0])
+    learner = index_learner(base[which])
+    nearest = learner._nearest(X)
+    closest = np.argmin(three_step_sq_distances(base[present], X), axis=1)
+    assert np.array_equal(nearest, first[closest])
+    assert np.array_equal(nearest, float64_nearest(learner, X))
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e20], ids=["nan", "1e20"])
+@pytest.mark.parametrize("where", ["query", "train"])
+def test_knn_screen_falls_back_to_float64_on_non_finite_or_huge_features(where, value, reranked):
+    rng = np.random.default_rng(4)
+    train_X = rng.standard_normal((300, 5))
+    X = rng.standard_normal((40, 5))
+    (X if where == "query" else train_X)[[3, 17], 2] = value
+    learner = index_learner(train_X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nearest = learner._nearest(X)
+    assert reranked == ([2] if where == "query" else [40])
+    assert np.array_equal(nearest, float64_nearest(learner, X))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_knn_zero_queries_give_zero_rows(k):
+    learner = KnnLearner(k=k).train(knn_trainset(np.eye(4), [0, 1, 2, 0], c=3))
+    assert learner.predict_proba(np.empty((0, 4))).shape == (0, 3)
+
+
+def test_knn_screen_reranks_under_one_percent_at_simulate_shape(reranked):
+    # the 1-NN simulate split: 20k training rows of 10-d blobs, queries from the other half
+    D = make_blobs(BlobSpec(c=10, d=10, n_per_class=4_000, separation=6.0, spread=1.0, seed=5))
+    train, test = split_per_class(D, 2_000)
+    X = test.features[::4]
+    KnnLearner(k=1).train(train)._nearest(X)
+    assert sum(reranked) < 0.01 * len(X)
 
 
 def test_knn_peak_memory_is_bounded_by_the_block_size():
@@ -706,3 +830,16 @@ def test_softmax_factory_overrides_seed():
     assert learner.cfg.seed == 7
     assert learner.hidden == 5
     assert cfg.seed == 0  # factory must not mutate the template
+
+
+@pytest.mark.parametrize("offset", [100.0, 1e4])
+def test_knn_screen_reranks_under_one_percent_on_offset_features(offset, reranked):
+    # the same split shifted far from the origin: distances, and so the screen, do not move
+    D = make_blobs(BlobSpec(c=10, d=10, n_per_class=4_000, separation=6.0, spread=1.0, seed=5))
+    train, test = split_per_class(D, 2_000)
+    train = knn_trainset(train.features + offset, train.observed_labels, train.c)
+    X = test.features[::4] + offset
+    learner = KnnLearner(k=1).train(train)
+    nearest = learner._nearest(X)
+    assert sum(reranked) < 0.01 * len(X)
+    assert np.array_equal(nearest, float64_nearest(learner, X))
