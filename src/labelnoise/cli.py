@@ -59,11 +59,16 @@ class UsageError(ValueError):
     pass
 
 
+MAX_GRID_POINTS = 10**6
+
+
 def parse_grid(text: str) -> list[float]:
     """Noise-ratio grids: 'a:b:step' (inclusive), 'x,y,z', or one value.
 
     Values are rounded to 12 decimals so a step grid lands on exact
-    figures like 0.05 rather than accumulated float error.
+    figures like 0.05 rather than accumulated float error. A value that is
+    not a finite number, or a range of more than MAX_GRID_POINTS points, is
+    a UsageError raised before any point is made.
     """
     text = text.strip()
     if not text:
@@ -71,17 +76,30 @@ def parse_grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise UsageError(f"grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+            raise UsageError(f"--grid range must be start:stop:step, got {text!r}")
+        start, stop, step = (_grid_value(p) for p in parts)
         if step <= 0:
-            raise UsageError(f"grid step must be > 0, got {step}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            raise UsageError(f"--grid step must be > 0, got {step}")
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_GRID_POINTS:  # also catches an overflow to inf
+            raise UsageError(f"--grid {text!r} has more than {MAX_GRID_POINTS} points")
+        count = int(math.floor(span)) + 1
         if count < 1:
             return []
         values = [start + i * step for i in range(count)]
     else:
-        values = [float(p) for p in text.split(",") if p.strip()]
+        values = [_grid_value(p) for p in text.split(",") if p.strip()]
     return [float(np.round(v, 12)) for v in values]
+
+
+def _grid_value(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"--grid value {text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise UsageError(f"--grid value {text.strip()!r} is not finite")
+    return value
 
 
 def _write_resolved_config(out: Path, args: argparse.Namespace) -> None:

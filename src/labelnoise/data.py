@@ -13,13 +13,25 @@ A dataset directory holds three files:
 
 `write_csv` is the CSV table writer and `write_json` the one JSON writer.
 `save` writes data.csv in its own fixed row format, byte for byte what
-`write_csv` would write for the same rows. Given the directory a dataset
-was derived from with its ids and features unchanged (`corrupt` relabels
-its input), `save` copies each row's id and feature text from that
-directory's data.csv instead of formatting it again, but only after both
-of its files match their manifest digests and its data.npy holds the same
-ids and feature bits; those rows are then the text `save` wrote for these
-very values, so the output bytes do not depend on which path ran.
+`write_csv` would write for the same rows ("%d" and "%.17g" cells). It
+formats 1,024 rows at a time with numpy arithmetic wherever every cell of
+a row is in range: ids and labels in [0, 10**8), and features with
+1e-4 <= |x| < 1e15, whose 17 significant digits it computes exactly and
+writes in %g's fixed-point form: each cell's digits fill a fixed slot of
+bytes, and a keep mask, looked up by sign, exponent and last non-zero
+digit, picks its text out. Any other row (one with a 0, a -0, a
+subnormal, |x| < 1e-4 or >= 1e15, nan or inf, or an id or label out of
+range) is formatted by Python's % and spliced in at its place. Those rows
+are formatted as when every row took %, from one tolist() per array of a
+block, so data whose rows mostly fall back saves as fast as it did then.
+
+Given the directory a dataset was derived from with its ids and features
+unchanged (`corrupt` relabels its input), `save` copies each row's id and
+feature text from that directory's data.csv instead of formatting it
+again, but only after both of its files match their manifest digests and
+its data.npy holds the same ids and feature bits; those rows are then the
+text `save` wrote for these very values, so the output bytes do not
+depend on which path ran.
 
 `load` reads data.npy only when the manifest records both digests and both
 files on disk still hash to them, so a data.csv edited after `save`, a
@@ -280,8 +292,8 @@ def write_json(path: Path, payload) -> None:
 
 
 def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) -> None:
-    """Write data.csv with the bytes write_csv would give the same rows:
-    every row has one shape, so one %-format writes them all. Then write
+    """Write data.csv with the bytes write_csv would give the same rows,
+    block by block with numpy arithmetic (`_formatted_rows`). Then write
     the same rows to data.npy, and the sha256 of both files to the
     manifest, which `load` checks before it trusts data.npy.
 
@@ -299,17 +311,15 @@ def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) 
         + ["observed_label"]
         + (["true_label"] if D.true_labels is not None else [])
     )
-    labels = np.column_stack(
-        [D.observed_labels] if D.true_labels is None else [D.observed_labels, D.true_labels]
-    )
+    labels = (D.observed_labels,) + ((D.true_labels,) if D.true_labels is not None else ())
     spliced = None if source is None else _source_csv(D, path, Path(source))
-    with open(path / "data.csv", "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path / "data.csv", "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         if spliced is None:
             fh.writelines(_formatted_rows(D, labels))
         else:
             source_csv, source_labels = spliced
-            with open(source_csv, newline="") as src:
+            with open(source_csv, "rb") as src:
                 src.readline()  # the source's header; D's was written above
                 fh.writelines(_spliced_rows(src, source_labels, labels))
     table = np.empty(D.n, dtype=_npy_dtype(D.d, D.true_labels is not None))
@@ -332,24 +342,175 @@ def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) 
     write_json(path / "manifest.json", manifest)
 
 
-def _formatted_rows(D: LabeledDataset, labels: np.ndarray):
-    """The rows of data.csv, formatted 4096 at a time: tolist() on the whole
-    matrix would hold every cell as a Python float at once."""
-    fmt = "%d" + ",%.17g" * D.d + ",%d" * labels.shape[1] + "\n"
-    for start in range(0, D.n, 4096):
-        rows = slice(start, start + 4096)
-        for i, x, y in zip(
-            D.ids[rows].tolist(), D.features[rows].tolist(), labels[rows].tolist()
-        ):
-            yield fmt % (i, *x, *y)
+# data.csv's cells by numpy arithmetic. Each cell is a row of bytes, its
+# slot, holding the cell's text at fixed columns among others, and a keep
+# mask picks the text out of the slot.
+_ROW_BLOCK = 1024
+# ASCII digits of 0..9999, four bytes to a word
+_WORDS = (np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_WORDS = _WORDS.view(np.uint32).ravel()
+# A feature's slot: ",-", the 17 significant digits d0..d16, "0.000" and
+# d0..d16 again. "," + "%.17g" % v keeps, in order, "," and "-" if v < 0.
+# For exponent exp10 >= 0: the first d0..d{exp10}, and "." and the second
+# d{exp10 + 1}.. if a digit follows. For exp10 < 0: "0.", -exp10 - 1 zeros
+# and the second d0..
+_FLOAT_SLOT = np.frombuffer(b",-" + b"0" * 17 + b"0.000" + b"0" * 17, dtype=np.uint8)
+_POW5 = (5 ** np.arange(23)).astype(np.float64)  # exact: 5**22 < 2**53
+_POW5_HI = 134217729.0 * _POW5 - (134217729.0 * _POW5 - _POW5)  # Dekker's split
+_POW5_LO = _POW5 - _POW5_HI
+_POW2 = np.ldexp(1.0, np.arange(23))
 
 
-def _spliced_rows(src, source_labels: int, labels: np.ndarray):
-    """Each row of `src` (source data.csv past its header) without its
-    `source_labels` label fields, followed by the fields of `labels`."""
-    suffix = ",%d" * labels.shape[1] + "\n"
-    for y, line in zip(labels.tolist(), src):
-        yield line.rsplit(",", source_labels)[0] + suffix % tuple(y)
+def _float_keep():
+    """The keep masks of a feature's slot, row (20 * (v < 0) + exp10 + 4) *
+    17 + last for exp10 in [-4, 15] and last in [0, 16], d{last} being the
+    last non-zero digit: %g strips trailing zeros after the ".", and a bare
+    "."."""
+    col = np.arange(len(_FLOAT_SLOT))
+    neg = np.arange(2)[:, None, None, None]
+    exp10 = np.arange(-4, 16)[:, None, None]
+    last = np.arange(17)[:, None]
+    first, second = col - 2, col - 24  # d{first}, d{second}
+    keep = (
+        (col == 0)
+        | (col == 1) & (neg == 1)
+        | (0 <= first) & (first <= exp10)
+        | (col == 19) & (exp10 < 0)
+        | (col == 20) & (exp10 < last)
+        | (exp10 < 0) & (21 <= col) & (col < 20 - exp10)
+        | (0 <= second) & (exp10 < second) & (second <= last)
+    )
+    return keep.reshape(-1, len(col))
+
+
+_FLOAT_KEEP = _float_keep()
+# An id's or label's slot is "," and eight digits; KEEP[width] keeps the
+# "," and the last width digits
+_INT_KEEP = (np.arange(9) == 0) | (np.arange(9) >= 9 - np.arange(9)[:, None])
+
+
+def _scaled(a: np.ndarray, exp10: np.ndarray) -> np.ndarray:
+    """a * 10**(16 - exp10) rounded half to even, exactly. With s = 16 -
+    exp10 <= 22, 5**s is a float64, Dekker's TwoProduct splits a * 5**s
+    into p + err with no rounding, and scaling both by 2**s keeps them
+    exact. Where the sum is a 17-digit number, in [1e16, 1e17), p * 2**s >=
+    2**53 is an even integer, so rounding err * 2**s alone rounds the sum."""
+    s = 16 - exp10
+    t = 134217729.0 * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    hi, lo = _POW5_HI[s], _POW5_LO[s]
+    p = a * _POW5[s]
+    err = ((a_hi * hi - p) + a_hi * lo + a_lo * hi) + a_lo * lo
+    two = _POW2[s]
+    return (p * two).astype(np.int64) + np.rint(err * two).astype(np.int64)
+
+
+def _float_cells(x: np.ndarray):
+    """Slots and keep masks, a row per row of x, of the cells "," +
+    "%.17g" % v for v in x, every v with 1e-4 <= |v| < 1e15. %g then writes
+    the 17 significant digits of |v| in fixed point, trailing zeros and a
+    bare "." stripped."""
+    a = np.abs(x.ravel())
+    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    n = _scaled(a, exp10)
+    # log10 can miss by one next to a power of ten: move exp10 and redo.
+    # Rounding reaches 1e16 from below, or carries to 1e17, only within
+    # 5e-17 below a power of ten, and no float64 in range is that close
+    redo = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    while len(redo):
+        exp10[redo] += np.where(n[redo] < 10**16, -1, 1)
+        n[redo] = _scaled(a[redo], exp10[redo])
+        redo = redo[(n[redo] < 10**16) | (n[redo] >= 10**17)]
+    upper, lower = np.divmod(n, 10**8)
+    first, upper = np.divmod(upper, 10**8)
+    words = np.empty((len(a), 5), dtype=np.uint32)
+    words[:, 0] = _WORDS[first]
+    for i, word in enumerate((*np.divmod(upper, 10**4), *np.divmod(lower, 10**4))):
+        words[:, 1 + i] = _WORDS[word]
+    digits = words.view(np.uint8)[:, 3:]  # d0..d16; d0 is never "0"
+    slots = np.empty((len(a), len(_FLOAT_SLOT)), dtype=np.uint8)
+    slots[:] = _FLOAT_SLOT
+    slots[:, 2:19] = slots[:, 24:] = digits
+    last = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    keep = np.take(_FLOAT_KEEP, (np.signbit(x.ravel()) * 20 + exp10 + 4) * 17 + last, axis=0)
+    shape = (len(x), x.shape[1] * len(_FLOAT_SLOT))
+    return slots.reshape(shape), keep.reshape(shape)
+
+
+def _int_cells(v: np.ndarray):
+    """Slots and keep masks, a row per row of v, of the cells "," + "%d" % i
+    for i in v, every i in [0, 10**8)."""
+    words = _WORDS[np.stack(np.divmod(v.ravel(), 10**4), axis=1)]
+    slots = np.empty((len(words), 9), dtype=np.uint8)
+    slots[:, 0] = ord(",")
+    slots[:, 1:] = words.view(np.uint8)
+    width = np.searchsorted(10 ** np.arange(1, 8), v.ravel(), side="right") + 1
+    shape = (len(v), v.shape[1] * 9)
+    return slots.reshape(shape), np.take(_INT_KEEP, width, axis=0).reshape(shape)
+
+
+def _formatted_rows(D: LabeledDataset, labels: tuple):
+    """The rows of data.csv as bytes, 1,024 rows at a time. Rows whose ids
+    and labels are in [0, 10**8) and features in 1e-4 <= |x| < 1e15 go
+    through `_vectorised_rows`; the rest (0, -0, subnormals, nan and inf
+    among them) through Python's %, and are spliced in at their places."""
+    fmt = "%d" + ",%.17g" * D.d + ",%d" * len(labels) + "\n"
+    for start in range(0, D.n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        ids, x = D.ids[rows], D.features[rows]
+        y = np.column_stack([col[rows] for col in labels])
+        a = np.abs(x)
+        ok = (
+            (ids >= 0) & (ids < 10**8)
+            & ((a >= 1e-4) & (a < 1e15)).all(axis=1)
+            & ((y >= 0) & (y < 10**8)).all(axis=1)
+        )
+        if ok.all():
+            yield _vectorised_rows(ids, x, y)
+        elif not ok.any():
+            yield _python_rows(fmt, ids, x, y)
+        else:
+            texts = {True: _vectorised_rows(ids[ok], x[ok], y[ok]),
+                     False: _python_rows(fmt, ids[~ok], x[~ok], y[~ok])}
+            # ends[kind][k]: where the first k rows of that kind end in its
+            # text; each run of rows of one kind is one slice of that text
+            ends = {kind: [0, *(np.flatnonzero(np.frombuffer(t, np.uint8) == 10) + 1).tolist()]
+                    for kind, t in texts.items()}
+            runs = [0, *(np.flatnonzero(ok[1:] != ok[:-1]) + 1).tolist(), len(ok)]
+            done, pieces = {True: 0, False: 0}, []
+            for run, stop in zip(runs, runs[1:]):
+                kind = bool(ok[run])
+                k, done[kind] = done[kind], done[kind] + stop - run
+                pieces.append(texts[kind][ends[kind][k] : ends[kind][done[kind]]])
+            yield b"".join(pieces)
+
+
+def _vectorised_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> bytes:
+    """The rows of data.csv for ids, features x and label columns y, all in
+    range: the cells go into one array of slots, and the rows are the bytes
+    its keep mask picks."""
+    cells = (_int_cells(ids[:, None]), _float_cells(x), _int_cells(y),
+             (np.full((len(ids), 1), ord("\n"), np.uint8), np.ones((len(ids), 1), bool)))
+    slots = np.concatenate([slot for slot, _ in cells], axis=1)
+    keep = np.concatenate([mask for _, mask in cells], axis=1)
+    keep[:, 0] = False  # the id's ","
+    return slots[keep].tobytes()
+
+
+def _python_rows(fmt: str, ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> bytes:
+    """The same rows by Python's %, on Python values: one tolist() per array."""
+    return "".join([fmt % (i, *xr, *yr)
+                    for i, xr, yr in zip(ids.tolist(), x.tolist(), y.tolist())]).encode()
+
+
+def _spliced_rows(src, source_labels: int, labels: tuple):
+    """Each row of `src` (source data.csv past its header, read as bytes)
+    without its `source_labels` label fields, followed by the fields of
+    `labels`."""
+    suffix = b",%d" * len(labels) + b"\n"
+    for y, line in zip(zip(*(col.tolist() for col in labels)), src):
+        yield line.rsplit(b",", source_labels)[0] + suffix % y
 
 
 def _source_csv(D: LabeledDataset, path: Path, source: Path):

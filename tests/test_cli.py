@@ -12,6 +12,7 @@ import pytest
 import labelnoise
 from labelnoise import data as data_mod
 from labelnoise.cli import (
+    MAX_GRID_POINTS,
     REPORT_CSV_HEADER,
     SIMULATE_CSV_HEADER,
     UsageError,
@@ -70,6 +71,33 @@ def test_grid_rejects_malformed_ranges():
         parse_grid("0:1")
     with pytest.raises(UsageError, match="step"):
         parse_grid("0:1:0")
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0.1,abc", "--grid value 'abc' is not a number"),
+        ("0:abc:0.1", "--grid value 'abc' is not a number"),
+        ("0:inf:0.1", "--grid value 'inf' is not finite"),
+        ("0.1,nan", "--grid value 'nan' is not finite"),
+        ("0:1e12:1e-3", "--grid '0:1e12:1e-3' has more than 1000000 points"),
+        ("-1e308:1e308:1", "--grid '-1e308:1e308:1' has more than 1000000 points"),
+    ],
+)
+def test_grid_rejects_values_and_sizes_it_cannot_use(tmp_path, capsys, grid, message):
+    # each is a usage error (exit 2) raised before any grid point is made
+    out = tmp_path / "o"
+    assert main(["theory", "--kind", "symmetric", f"--grid={grid}", "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_caps_a_range_at_max_grid_points():
+    # 0:1:1e-6 has MAX_GRID_POINTS + 1 points; 0:1:1e-5 has 100,001
+    assert MAX_GRID_POINTS == 10**6
+    with pytest.raises(UsageError, match="more than 1000000 points"):
+        parse_grid("0:1:1e-6")
+    assert len(parse_grid("0:1:1e-5")) == 100_001
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -534,14 +535,62 @@ _special_bits = st.sampled_from(
 ).map(lambda v: int(np.float64(v).view(np.uint64)))
 
 
-@settings(max_examples=60, deadline=None)
+def _tie_bounds(j):
+    """The odd k in [low, high] make k * 5**j an 18-digit number, so k / 2**j
+    has 18 significant digits, the last a 5, and %.17g rounds it half to
+    even. k / 2**j lies in [1e-4, 1e15) for j in 3..21."""
+    return -(-(10**17) // 5**j), min(2**53, (10**18 - 1) // 5**j)
+
+
+def _ties(j):
+    low, high = _tie_bounds(j)
+    return st.integers(low // 2, (high - 1) // 2).map(lambda i: (2 * i + 1) / 2**j)
+
+
+# save formats 1e-4 <= |x| < 1e15 with numpy arithmetic: draw values from
+# that whole range, the powers of ten and their float neighbours (where
+# log10's guess of the exponent can miss), and ties
+_in_range_bits = st.one_of(
+    st.floats(min_value=1e-4, max_value=1e15, exclude_max=True),
+    st.sampled_from([
+        float(v)
+        for p in (float(f"1e{k}") for k in range(-4, 16))
+        for v in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))
+        if 1e-4 <= v < 1e15
+    ]),
+    st.integers(3, 21).flatmap(_ties),
+).flatmap(lambda v: st.sampled_from([v, -v])).map(
+    lambda v: int(np.float64(v).view(np.uint64))
+)
+
+
+def _assert_save_writes_what_write_csv_writes(D, tmp):
+    """save's data.csv holds the bytes of the table writer, fed numpy
+    scalars rather than tolist() values."""
+    save(D, tmp / "ds")
+    truth = D.true_labels is not None
+    header = ["id", *(f"f{j}" for j in range(D.d)), "observed_label"]
+    header += ["true_label"] if truth else []
+    rows = [
+        [D.ids[r], *D.features[r], D.observed_labels[r]]
+        + ([D.true_labels[r]] if truth else [])
+        for r in range(D.n)
+    ]
+    write_csv(tmp / "table.csv", header, rows)
+    assert (tmp / "ds" / "data.csv").read_bytes() == (tmp / "table.csv").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data(), d=st.integers(min_value=0, max_value=4), with_truth=st.booleans())
 def test_save_writes_what_write_csv_writes(data, d, with_truth, tmp_path_factory):
-    # save formats data.csv itself; its bytes must stay those of the table
-    # writer, fed numpy scalars rather than tolist() values
-    ids = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=12))
+    # in-range draws reach the vectorised cells; the rest mixes in every
+    # float64 bit pattern and int64 id, which take Python's % row by row
+    in_range = data.draw(st.booleans())
+    id_values = st.integers(0, 10**8 - 1) if in_range else st.integers(-(2**63), 2**63 - 1)
+    ids = data.draw(st.lists(id_values, unique=True, max_size=12))
     n = len(ids)
-    bits = data.draw(st.lists(_float_bits | _special_bits, min_size=n * d, max_size=n * d))
+    cells = _in_range_bits if in_range else _float_bits | _special_bits | _in_range_bits
+    bits = data.draw(st.lists(cells, min_size=n * d, max_size=n * d))
     labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
     D = LabeledDataset(
         features=np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, d),
@@ -550,17 +599,147 @@ def test_save_writes_what_write_csv_writes(data, d, with_truth, tmp_path_factory
         c=3,
         true_labels=data.draw(labels) if with_truth else None,
     )
-    tmp = tmp_path_factory.mktemp("ds")
-    save(D, tmp / "ds")
-    header = ["id", *(f"f{j}" for j in range(d)), "observed_label"]
-    header += ["true_label"] if with_truth else []
-    rows = [
-        [D.ids[r], *D.features[r], D.observed_labels[r]]
-        + ([D.true_labels[r]] if with_truth else [])
-        for r in range(n)
-    ]
-    write_csv(tmp / "table.csv", header, rows)
-    assert (tmp / "ds" / "data.csv").read_bytes() == (tmp / "table.csv").read_bytes()
+    _assert_save_writes_what_write_csv_writes(D, tmp_path_factory.mktemp("ds"))
+
+
+def test_save_writes_what_write_csv_writes_at_scale_shape(tmp_path):
+    # 36,000 x 32 features as the scale benchmark saves them; nearly every
+    # row is formatted by the vectorised path
+    D = make_blobs(BlobSpec(c=10, d=32, n_per_class=3600, separation=3.5, spread=1.0, seed=3))
+    a = np.abs(D.features)
+    assert ((a >= 1e-4) & (a < 1e15)).all(axis=1).mean() > 0.99
+    save(D, tmp_path / "ds")
+    header = ["id", *(f"f{j}" for j in range(D.d)), "observed_label", "true_label"]
+    rows = zip(D.ids.tolist(), D.features.tolist(), D.observed_labels.tolist(),
+               D.true_labels.tolist())
+    write_csv(tmp_path / "table.csv", header, ([i, *x, y, t] for i, x, y, t in rows))
+    assert (tmp_path / "ds" / "data.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+
+def _in_range_dataset(n, d=3, c=3, seed=0):
+    rng = np.random.default_rng(seed)
+    features = rng.uniform(1e-3, 1e3, (n, d)) * rng.choice([-1.0, 1.0], (n, d))
+    return LabeledDataset(features=features, observed_labels=rng.integers(0, c, n),
+                          ids=np.arange(n), c=c, true_labels=rng.integers(0, c, n))
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+def test_save_formats_blocks_of_rows(tmp_path, n):
+    _assert_save_writes_what_write_csv_writes(_in_range_dataset(n), tmp_path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[0], [1, 2], [1023], [1023, 1024], [0, 1, 1022, 1023, 1024, 2047, 2048, 2050],
+     list(range(2051))],
+    ids=["first", "adjacent", "last-of-block", "across-blocks", "many", "every"],
+)
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1e-5, 1e15, -np.inf, np.nan])
+def test_save_splices_rows_formatted_by_python_in_place(tmp_path, rows, value):
+    # a row with one feature outside 1e-4 <= |x| < 1e15 takes Python's %
+    D = _in_range_dataset(2051)
+    features = D.features.copy()
+    features[rows, 1] = value
+    _assert_save_writes_what_write_csv_writes(replace(D, features=features), tmp_path)
+
+
+@pytest.mark.parametrize("column", ["ids", "observed_labels", "true_labels"])
+def test_save_formats_ids_and_labels_at_the_edges_of_the_vectorised_range(tmp_path, column):
+    # ids and labels in [0, 10**8) are vectorised, the rest take Python's %
+    edges = [0, 9, 10, 99, 100, 9_999, 10_000, 99_999_999, 10**8, 10**8 + 1, 2**63 - 2]
+    if column == "ids":
+        edges += [2**63 - 1, -1, -10, -(2**63)]
+    n = len(edges)
+    columns = {"ids": np.arange(n), "observed_labels": np.ones(n), "true_labels": np.ones(n)}
+    columns[column] = edges
+    D = LabeledDataset(features=np.full((n, 2), 0.5), c=2**63 - 1, **columns)
+    _assert_save_writes_what_write_csv_writes(D, tmp_path)
+
+
+def _float_neighbours(values, ulps=3):
+    """values and their `ulps` nearest floats on either side."""
+    out = below = above = np.asarray(values, dtype=np.float64)
+    for _ in range(ulps):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        out = np.concatenate([out, below, above])
+    return out
+
+
+def _fixed_ties(per_exponent=20):
+    """_ties(j) for j = 3..21, drawn with a fixed seed."""
+    rng = np.random.default_rng(0)
+    ties = []
+    for j in range(3, 22):
+        low, high = _tie_bounds(j)
+        ties.append((rng.integers(low // 2, (high - 1) // 2, per_exponent) * 2 + 1) / 2.0**j)
+    return np.concatenate(ties)
+
+
+def _value_ending_at(exp10, last):
+    """The first float m * 10**(exp10 - last), m a (last + 1)-digit number,
+    whose 17 significant digits are m's and then zeros, so that its
+    "%.17g" text has exponent exp10 and ends at its digit d{last}."""
+    for m in range(10**last, min(10 ** (last + 1), 10**last + 1000)):
+        v = float(f"{m}e{exp10 - last}")
+        mantissa, exponent = ("%.16e" % v).split("e")
+        if int(exponent) == exp10 and len(mantissa.replace(".", "").rstrip("0")) == last + 1:
+            return v
+    raise AssertionError((exp10, last))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _float_neighbours([float(f"1e{k}") for k in range(-4, 16)]),
+        _fixed_ties(),
+        [_value_ending_at(e, last) for e in range(-4, 15) for last in range(17)],
+    ],
+    ids=["powers-of-ten", "ties", "every-exponent-and-last-digit"],
+)
+def test_save_formats_the_values_where_rounding_decides(tmp_path, values):
+    # fixed draws of the hypothesis strategies above: log10 misses next to a
+    # power of ten, and 17-digit rounding meets exact halves at the ties;
+    # then where the text ends: with each sign, one value for every exponent
+    # and last non-zero digit, so every keep mask of a feature's slot
+    values = np.concatenate([values, np.negative(values)]).reshape(-1, 2)
+    D = LabeledDataset(features=values, observed_labels=np.zeros(len(values)),
+                       ids=np.arange(len(values)), c=2)
+    _assert_save_writes_what_write_csv_writes(D, tmp_path)
+
+
+@pytest.mark.parametrize("n, d", [(0, 3), (0, 0), (5, 0)])
+def test_save_formats_empty_shapes(tmp_path, n, d):
+    D = _in_range_dataset(n)
+    D = replace(D, features=D.features[:, :d])
+    _assert_save_writes_what_write_csv_writes(D, tmp_path)
+
+
+def _traced_peak(write, *args):
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _write_data_csv_rows(D, path):
+    with open(path, "wb") as fh:
+        fh.writelines(data_mod._formatted_rows(D, (D.observed_labels, D.true_labels)))
+
+
+def test_save_memory_beyond_the_data_npy_table_does_not_grow_with_rows(tmp_path):
+    # data.csv is formatted and written a block of rows at a time, so the
+    # only buffer of save that grows with n is the data.npy table. The
+    # writer's own peak is checked at 8k and 32k rows of 32 features. At
+    # d = 8 and 16k rows or more save's peak comes while the table is alive
+    # (hashing the files), so memory held beside the table shows there
+    for d, write, rows in ((32, _write_data_csv_rows, 8192), (8, save, 16384)):
+        D = make_blobs(BlobSpec(c=4, d=d, n_per_class=rows, separation=3.5, spread=1.0, seed=4))
+        table = data_mod._npy_dtype(d, True).itemsize if write is save else 0
+        beyond = [_traced_peak(write, E, tmp_path / f"{d}-{E.n}") - E.n * table
+                  for E in (D._take(np.arange(rows)), D)]
+        assert beyond[1] <= beyond[0] + 64 * 1024, (d, beyond)
 
 
 _DATASET_FILES = ("data.csv", "data.npy", "manifest.json")
