@@ -115,6 +115,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _read_json(path: Path):
+    """The JSON value in path, or a ValueError that names the file."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _write_table(out: Path, name: str, fmt: str, header, rows) -> None:
     """Write rows as out/<name>.csv, or with fmt "json" as out/<name>.json,
     a list of one header-keyed object per row."""
@@ -322,11 +330,21 @@ def cmd_incv(args) -> int:
 
 
 def cmd_cotrain(args) -> int:
+    try:
+        decay_epochs = tuple(int(e) for e in args.decay_epochs.split(",") if e.strip())
+    except ValueError:
+        raise UsageError(
+            f"--decay-epochs must be comma-separated epochs, got {args.decay_epochs!r}"
+        ) from None
     selection_path = Path(args.selection)
     if not selection_path.is_file():
         raise UsageError(f"selection JSON not found: {selection_path}")
+    payload = _read_json(selection_path)
+    try:
+        result = selection_result_from_json(payload)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {selection_path}") from None
     D = data_mod.load(Path(args.in_dir))
-    result = selection_result_from_json(json.loads(selection_path.read_text()))
     S = D.subset(result.selected)
     C = D.subset(result.candidate) if len(result.candidate) else None
     clean_test = data_mod.load(Path(args.test)) if args.test else None
@@ -350,9 +368,7 @@ def cmd_cotrain(args) -> int:
         seed=args.seed,
         learning_rate=args.lr,
         decay_factor=args.decay_factor,
-        decay_epochs=tuple(int(e) for e in args.decay_epochs.split(",") if e.strip())
-        if args.decay_epochs
-        else (),
+        decay_epochs=decay_epochs,
     )
     step_cfg = TrainConfig(epochs=1, batch_size=args.batch, learning_rate=args.lr)
     factory = softmax_factory(D.c, D.d, step_cfg, args.hidden)
@@ -407,11 +423,11 @@ def _run_summary(run: Path) -> dict:
                         row[k] = float(_field(rec, k, metrics_path))
     selection_path = run / "selection.json"
     if selection_path.is_file():
-        selection = json.loads(selection_path.read_text())
+        selection = _read_json(selection_path)
         row["epsilon_hat"] = float(_field(selection, "epsilon_hat", selection_path))
     final_path = run / "final.json"
     if final_path.is_file():
-        final = json.loads(final_path.read_text())
+        final = _read_json(final_path)
         for k in ("acc_f1", "acc_f2", "best_acc"):
             row[k] = float(_field(final, k, final_path))
     return row

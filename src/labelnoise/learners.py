@@ -507,12 +507,12 @@ class SoftmaxLearner(Learner):
         np.add.reduce(dlogits, axis=-2, out=grads["b2"])
         return loss
 
-    def loss_and_grad(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean cross-entropy over the batch and its analytic gradient."""
-        grads = self._views(np.empty_like(self._flat))
-        return self._loss_and_grad(X, y, grads), grads
+    def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        """Mean cross-entropy over the batch and its analytic gradient, a
+        fresh vector laid out as flat_params; a pair's have one row per
+        member."""
+        grad = np.empty_like(self._flat)
+        return self._loss_and_grad(X, y, self._views(grad)), grad
 
     def sgd_step(self, X: np.ndarray, y: np.ndarray, lr: float) -> float | np.ndarray:
         loss = self._loss_and_grad(X, y, self._grads)
@@ -539,14 +539,6 @@ class SoftmaxLearner(Learner):
     def set_flat_params(self, flat: np.ndarray) -> None:
         """Overwrite the parameters in place, so a pairing stays intact."""
         self._flat[...] = flat
-
-    def flat_grad(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        grad = np.empty_like(self._flat)
-        self._loss_and_grad(X, y, self._views(grad))
-        return grad
-
-    def mean_loss(self, X: np.ndarray, y: np.ndarray) -> float:
-        return self.loss_and_grad(X, y)[0]
 
 
 def train_pair(f1: SoftmaxLearner, f2: SoftmaxLearner, features, labels, rows) -> None:

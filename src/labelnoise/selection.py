@@ -91,6 +91,8 @@ def selection_result_from_json(payload: dict) -> SelectionResult:
         )
     except KeyError as exc:
         raise ValueError(f"selection JSON: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # a value of the wrong type
+        raise ValueError(f"selection JSON: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,10 @@ def fd_gradient(learner, X, y, h: float = 1e-5) -> np.ndarray:
         probe = base.copy()
         probe[i] = base[i] + h
         learner.set_flat_params(probe)
-        up = learner.mean_loss(X, y)
+        up = learner.loss_and_grad(X, y)[0]
         probe[i] = base[i] - h
         learner.set_flat_params(probe)
-        down = learner.mean_loss(X, y)
+        down = learner.loss_and_grad(X, y)[0]
         grad[i] = (up - down) / (2.0 * h)
     learner.set_flat_params(base)
     return grad
@@ -85,7 +85,7 @@ def max_relative_gradient_error(learner, X, y) -> float:
     Relative to max(1e-3, |analytic|, |fd|) per coordinate so near-zero
     components do not blow up the ratio.
     """
-    analytic = learner.flat_grad(X, y)
+    analytic = learner.loss_and_grad(X, y)[1]
     fd = fd_gradient(learner, X, y)
     denom = np.maximum(1e-3, np.maximum(np.abs(analytic), np.abs(fd)))
     return float(np.max(np.abs(analytic - fd) / denom))

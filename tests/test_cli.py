@@ -424,6 +424,14 @@ def test_ncv_manifest_without_n_exits_1(tmp_path, capsys):
     assert "error: manifest.json: missing field 'n'" in capsys.readouterr().err
 
 
+def test_ncv_names_a_manifest_that_is_not_json(tmp_path, capsys):
+    src = make_input(tmp_path, ratio=0.2)
+    (src / "manifest.json").write_text("")
+    assert run("ncv", "--in", src, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert f"error: {src / 'manifest.json'}: Expecting value: line 1 column 1 (char 0)" in err
+
+
 def test_incv_rejects_malformed_remove_ratio(tmp_path):
     src = make_input(tmp_path, ratio=0.2)
     code = run("incv", "--in", src, "--remove-ratio", "most", "--out", tmp_path / "o")
@@ -496,6 +504,46 @@ def test_cotrain_missing_selection_exits_2(tmp_path):
     code = run("cotrain", "--in", src, "--selection", tmp_path / "nope.json",
                "--out", tmp_path / "o")
     assert code == 2
+
+
+def _refuse_load(*args):
+    raise AssertionError("read a dataset")
+
+
+def test_cotrain_rejects_malformed_decay_epochs_before_reading_data(tmp_path, monkeypatch, capsys):
+    src = make_input(tmp_path, ratio=0.2)
+    (tmp_path / "selection.json").write_text("{}")
+    monkeypatch.setattr(data_mod, "load", _refuse_load)
+    out = tmp_path / "ct"
+    code = run("cotrain", "--in", src, "--selection", tmp_path / "selection.json",
+               "--decay-epochs", "1,x", "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --decay-epochs must be comma-separated epochs, got '1,x'" in err
+    assert not out.exists()
+
+
+def test_cotrain_names_a_selection_file_that_is_not_json(tmp_path, monkeypatch, capsys):
+    src = make_input(tmp_path, ratio=0.2)
+    selection = tmp_path / "selection.json"
+    selection.write_text('{"selected": [0, 1],')
+    monkeypatch.setattr(data_mod, "load", _refuse_load)
+    assert run("cotrain", "--in", src, "--selection", selection, "--out", tmp_path / "o") == 1
+    assert f"error: {selection}: Expecting" in capsys.readouterr().err
+
+
+def test_cotrain_names_the_selection_file_with_a_history_field_of_the_wrong_type(tmp_path, capsys):
+    src, _, sel = pipeline(tmp_path, iterations=1)
+    payload = json.loads((sel / "selection.json").read_text())
+    payload["history"][0]["n_s1"] = "x"
+    selection = tmp_path / "bad_selection.json"
+    selection.write_text(json.dumps(payload))
+    out = tmp_path / "ct"
+    assert run("cotrain", "--in", src, "--selection", selection, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert (f"error: selection JSON: invalid literal for int() with base 10: 'x' in {selection}"
+            in err)
+    assert not out.exists()
 
 
 def test_cotrain_eps_s_override(tmp_path):
@@ -591,6 +639,16 @@ def test_report_names_the_file_and_field_it_misses(tmp_path, capsys, name, text,
     (run_dir / name).write_text(text)
     assert run("report", "--runs", run_dir, "--out", tmp_path / "rep") == 1
     assert f"error: {run_dir / name}: missing field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["selection.json", "final.json"])
+def test_report_names_a_json_file_that_is_not_json(tmp_path, capsys, name):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / name).write_text("not json")
+    assert run("report", "--runs", run_dir, "--out", tmp_path / "rep") == 1
+    err = capsys.readouterr().err
+    assert f"error: {run_dir / name}: Expecting value: line 1 column 1 (char 0)" in err
 
 
 def test_report_missing_run_exits_2(tmp_path):

@@ -1,9 +1,14 @@
+import builtins
 import hashlib
+import io
 import json
+import os
+import shutil
 import struct
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,22 +185,16 @@ _DIGESTS = ("data_csv_sha256", "data_npy_sha256")
 def _load_from_data_csv(ds, dropped=_DIGESTS):
     """Load ds after deleting the `dropped` manifest keys (both digests by
     default, as in a directory saved before data.npy existed), asserting the
-    rows come from one np.loadtxt pass over data.csv. An empty dataset goes
-    on to the row parser, as it always has."""
+    rows come from one parse of data.csv."""
     manifest = json.loads((ds / "manifest.json").read_text())
     for key in dropped:
         del manifest[key]
     data_mod.write_json(ds / "manifest.json", manifest)
 
-    def row_parser(*args):
-        raise AssertionError("fell back to the row parser")
-
     passes = []
-    parse = data_mod._parse_vectorised
+    parse = data_mod._read_csv
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data_mod, "_parse_vectorised", lambda *a: passes.append(1) or parse(*a))
-        if manifest["n"] > 0:
-            mp.setattr(data_mod, "_parse_rows", row_parser)
+        mp.setattr(data_mod, "_read_csv", lambda *a: passes.append(1) or parse(*a))
         back = load(ds)
     assert passes == [1]
     return back
@@ -357,12 +356,14 @@ def _inserted(text):
         (_second_row("1,\u0662,3,1,2"), "\n", _CONTRACT_FEATURES),
         # numpy strips \x1c-\x1f as whitespace, float() does not
         (_second_row("1,2\x1f,3,1,2"), "\n", (3, "line 3: could not convert string to float: '2\\x1f'")),
+        (_second_row("99999999999999999999,2,3,1,2"), "\n",
+         (3, "line 3: Python int too large to convert to C long")),
     ],
     ids=[
         "blank-line", "blank-body", "short-body", "trailing-blank-line", "whitespace-line", "comment-line",
         "comment-row", "quoted-number", "space-padded", "plus-id", "float-id",
         "underscore-digits", "crlf", "underflow-and-subnormal", "non-ascii-id",
-        "non-ascii-digit", "unit-separator",
+        "non-ascii-digit", "unit-separator", "id-beyond-int64",
     ],
 )
 def test_load_contract_matches_the_row_parser(tmp_path, lines, newline, expected):
@@ -386,9 +387,9 @@ def test_load_contract_matches_the_row_parser(tmp_path, lines, newline, expected
             assert back.true_labels.tolist() == [0, 2, 2]
 
 
-def test_load_parses_a_written_file_in_one_vectorised_pass(tmp_path):
+def test_load_parses_a_written_data_csv_to_the_data_npy_bits(tmp_path):
     # without the digests, as a directory saved before data.npy existed;
-    # the CSV pass must give the data.npy path's bits
+    # the CSV parse must give the data.npy path's bits
     D = corrupt_dataset(blob(npc=30), NoiseSpec(kind="symmetric", ratio=0.3, seed=2))
     save(D, tmp_path / "ds")
     from_npy = load(tmp_path / "ds")
@@ -414,8 +415,7 @@ def _assert_same_bits(back, D):
 
 
 def test_load_reads_a_saved_dataset_from_data_npy(tmp_path, monkeypatch):
-    monkeypatch.setattr(data_mod, "_parse_vectorised", _refuse)
-    monkeypatch.setattr(data_mod, "_parse_rows", _refuse)
+    monkeypatch.setattr(data_mod, "_read_csv", _refuse)
     D = _noisy()
     save(D, tmp_path / "ds")
     back = load(tmp_path / "ds")
@@ -430,7 +430,7 @@ def test_load_reads_a_saved_dataset_from_data_npy(tmp_path, monkeypatch):
     ids=["no-csv-digest", "no-npy-digest", "no-data-npy"],
 )
 def test_load_without_both_digests_parses_data_csv(tmp_path, dropped, remove_npy):
-    # test_load_parses_a_written_file_in_one_vectorised_pass drops both
+    # test_load_parses_a_written_data_csv_to_the_data_npy_bits drops both
     D = _noisy()
     ds = tmp_path / "ds"
     save(D, ds)
@@ -448,6 +448,45 @@ def test_load_falls_back_to_data_csv_on_a_damaged_data_npy(tmp_path):
     (ds / "data.npy").write_bytes(bytes(raw))
     assert np.load(ds / "data.npy")["f"][0, 0] != D.features[0, 0]
     _assert_same_bits(_load_from_data_csv(ds, dropped=()), D)
+
+
+def _swap_after_first_open(monkeypatch, target, replacement):
+    """Replace the file at target by a copy of replacement as soon as it is
+    first opened for reading, whichever code opens it: that reader keeps the
+    original bytes, and every later open gets the replacement. Returns a
+    list that holds one entry once the swap has happened."""
+    staged = target.with_name("swap.tmp")
+    shutil.copyfile(replacement, staged)
+    real_open, swapped = builtins.open, []
+
+    def opened(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if (not swapped and "r" in mode and isinstance(file, (str, os.PathLike))
+                and Path(file).resolve() == target.resolve()):
+            os.replace(staged, target)
+            swapped.append(file)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", opened)
+    monkeypatch.setattr(io, "open", opened)  # pathlib opens through io.open
+    return swapped
+
+
+def _shifted(D):
+    """D with every feature moved: same ids, shape and labels, other bits."""
+    return replace(D, features=D.features + 1.0)
+
+
+def test_load_never_returns_a_data_npy_swapped_in_after_its_check(tmp_path, monkeypatch):
+    D = _noisy()
+    save(D, tmp_path / "ds")
+    save(_shifted(D), tmp_path / "other")
+    swapped = _swap_after_first_open(monkeypatch, tmp_path / "ds" / "data.npy",
+                                     tmp_path / "other" / "data.npy")
+    back = load(tmp_path / "ds")
+    assert swapped
+    # the verified rows, from data.npy or data.csv, never the swapped table
+    _assert_same_bits(back, D)
 
 
 def test_save_writes_golden_data_npy(tmp_path):
@@ -525,8 +564,8 @@ def test_save_load_round_trips_float_bit_patterns(bits, tmp_path_factory):
     save(D, ds)
     for back in (load(ds), _load_from_data_csv(ds)):
         assert np.array_equal(back.features.view(np.uint64), features.view(np.uint64))
-    # the row-by-row parser, kept as the reference, reads the same bits
-    ref = data_mod._parse_rows(ds / "data.csv", D.n, D.d, False)
+    # data.csv's parser, called directly, reads the same bits
+    ref = data_mod._read_csv(ds / "data.csv", D.n, D.d)
     assert np.array_equal(ref[1].view(np.uint64), features.view(np.uint64))
 
 
@@ -881,6 +920,19 @@ def test_save_over_its_own_source_formats_every_row(tmp_path):
     _assert_source_save(D2, tmp_path / "ds", tmp_path, spliced=False, out=tmp_path / "ds")
 
 
+def test_save_never_splices_from_a_data_npy_swapped_in_after_its_check(tmp_path, monkeypatch):
+    # the swapped-in table matches D2's features, the source's data.csv
+    # does not: a splice would write the source's feature text
+    D = _noisy()
+    save(D, tmp_path / "src")
+    save(_shifted(D), tmp_path / "other")
+    D2 = corrupt_dataset(_shifted(D), _NEW_NOISE)
+    swapped = _swap_after_first_open(monkeypatch, tmp_path / "src" / "data.npy",
+                                     tmp_path / "other" / "data.npy")
+    _assert_source_save(D2, tmp_path / "src", tmp_path, spliced=False)
+    assert swapped
+
+
 def test_load_rejects_unknown_schema_version(tmp_path):
     D = blob(npc=3)
     save(D, tmp_path / "ds")
@@ -890,6 +942,16 @@ def test_load_rejects_unknown_schema_version(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(SchemaError):
         load(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("text", ["", "{", "[1, 2]"], ids=["empty", "truncated", "list"])
+def test_load_names_a_manifest_that_is_not_a_json_object(tmp_path, text):
+    save(blob(npc=3), tmp_path / "ds")
+    manifest_path = tmp_path / "ds" / "manifest.json"
+    manifest_path.write_text(text)
+    with pytest.raises(SchemaError) as excinfo:
+        load(tmp_path / "ds")
+    assert str(excinfo.value).startswith(f"{manifest_path}: ")
 
 
 @pytest.mark.parametrize(
