@@ -231,7 +231,9 @@ def cmd_simulate(args) -> int:
         threads = int(env) if env else (os.cpu_count() or 1)
     except ValueError:
         raise UsageError(f"LABNOISE_THREADS must be an integer, got {env!r}") from None
-    threads = max(1, min(threads, max(1, len(grid))))
+    if threads < 1:
+        raise UsageError(f"LABNOISE_THREADS must be an integer >= 1, got {env!r}")
+    threads = min(threads, max(1, len(grid)))
     out = _out_dir(args)
     # pool.map yields results in grid order whatever the thread count
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -405,11 +407,21 @@ def cmd_cotrain(args) -> int:
 # report
 
 
-def _field(record: dict, key: str, path: Path):
+def _field(record, key: str, path: Path):
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: field {key!r} needs a JSON object, got {type(record).__name__}")
     value = record.get(key)
     if value is None:
         raise ValueError(f"{path}: missing field {key!r}")
     return value
+
+
+def _number(record, key: str, path: Path) -> float:
+    value = _field(record, key, path)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: field {key!r} is not a number: {value!r}") from None
 
 
 def _run_summary(run: Path) -> dict:
@@ -420,16 +432,16 @@ def _run_summary(run: Path) -> dict:
             for rec in csv.DictReader(fh):
                 if _field(rec, "class", metrics_path) == "all":
                     for k in ("lp", "lr", "eps_s"):
-                        row[k] = float(_field(rec, k, metrics_path))
+                        row[k] = _number(rec, k, metrics_path)
     selection_path = run / "selection.json"
     if selection_path.is_file():
         selection = _read_json(selection_path)
-        row["epsilon_hat"] = float(_field(selection, "epsilon_hat", selection_path))
+        row["epsilon_hat"] = _number(selection, "epsilon_hat", selection_path)
     final_path = run / "final.json"
     if final_path.is_file():
         final = _read_json(final_path)
         for k in ("acc_f1", "acc_f2", "best_acc"):
-            row[k] = float(_field(final, k, final_path))
+            row[k] = _number(final, k, final_path)
     return row
 
 

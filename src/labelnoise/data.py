@@ -49,6 +49,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -314,15 +315,24 @@ def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) 
     )
     labels = (D.observed_labels,) + ((D.true_labels,) if D.true_labels is not None else ())
     spliced = None if source is None else _source_csv(D, path, Path(source))
+    import hashlib  # see _sha256
+
+    csv_digest = hashlib.sha256()
     with open(path / "data.csv", "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+        # data.csv is hashed as it is written, not read back
+        def write(blocks):
+            for block in blocks:
+                fh.write(block)
+                csv_digest.update(block)
+
+        write([(",".join(header) + "\n").encode()])
         if spliced is None:
-            fh.writelines(_formatted_rows(D, labels))
+            write(_formatted_rows(D, labels))
         else:
             source_csv, source_labels = spliced
             with open(source_csv, "rb") as src:
                 src.readline()  # the source's header; D's was written above
-                fh.writelines(_spliced_rows(src, source_labels, labels))
+                write(_spliced_rows(src, source_labels, labels))
     table = np.empty(D.n, dtype=_npy_dtype(D.d, D.true_labels is not None))
     table["id"] = D.ids
     table["f"] = D.features
@@ -337,7 +347,7 @@ def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) 
         "noise": D.noise.to_dict() if D.noise is not None else None,
         "blob": D.blob.to_dict() if D.blob is not None else None,
         "schema_version": SCHEMA_VERSION,
-        "data_csv_sha256": _sha256(path / "data.csv"),
+        "data_csv_sha256": csv_digest.hexdigest(),
         "data_npy_sha256": _sha256(path / "data.npy"),
     }
     write_json(path / "manifest.json", manifest)
@@ -508,10 +518,11 @@ def _python_rows(fmt: str, ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> byt
 def _spliced_rows(src, source_labels: int, labels: tuple):
     """Each row of `src` (source data.csv past its header, read as bytes)
     without its `source_labels` label fields, followed by the fields of
-    `labels`."""
+    `labels`; 1,024 rows to a block of bytes."""
     suffix = b",%d" * len(labels) + b"\n"
-    for y, line in zip(zip(*(col.tolist() for col in labels)), src):
-        yield line.rsplit(b",", source_labels)[0] + suffix % y
+    rows = zip(zip(*(col.tolist() for col in labels)), src)
+    while block := list(islice(rows, _ROW_BLOCK)):
+        yield b"".join([line.rsplit(b",", source_labels)[0] + suffix % y for y, line in block])
 
 
 def _source_csv(D: LabeledDataset, path: Path, source: Path):

@@ -6,7 +6,7 @@ Three kinds:
                    from row i of a transition matrix -- the idealized
                    behavior of a memorizing network that generalizes in
                    distribution. Needs true labels at prediction time.
-  KnnLearner       brute-force k-nearest-neighbor memorizer; the desk-scale
+  KnnLearner       exact k-nearest-neighbor memorizer; the desk-scale
                    stand-in for a high-capacity network that fits its
                    training labels exactly.
   SoftmaxLearner   multinomial logistic regression, optionally with one
@@ -36,6 +36,9 @@ LOSS_CLAMP = 1e-12
 DIVERGENCE_LIMIT = 1e6
 KNN_BLOCK_BYTES = 1 << 22  # k-NN distance block: 4 MiB of float64, cache-sized
 KNN_SCREEN_LIMIT = 1e30  # largest centered (|q| + max |t|)^2 the float32 1-NN screen takes
+KNN_CELL_FALLBACK = 0.5  # a query block whose unpruned cells hold a larger share of its pairs
+                         # screens every training row instead
+KNN_CELL_PROBE = 16  # that share is measured on every this many-th query of the block
 
 
 class MissingTrueLabelsError(ValueError):
@@ -171,11 +174,36 @@ class OracleLearner(Learner):
 # k-nearest-neighbor memorizer
 
 
+def _scratch(buf: np.ndarray, offset: int, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised (shape, dtype) array over the bytes of buf from
+    offset on, or a fresh one where buf is too short.
+
+    The cell screen cuts its temporaries from one allocation of
+    KNN_BLOCK_BYTES per call, as the full screen writes each block into one
+    buffer: a fresh array per cell, among the loop's many small ones, would
+    leave the C allocator a fragmented heap it cannot give back.
+    """
+    dtype = np.dtype(dtype)
+    if offset + math.prod(shape) * dtype.itemsize > buf.nbytes:
+        return np.empty(shape, dtype)
+    return np.ndarray(shape, dtype, buffer=buf, offset=offset)
+
+
+def _take_rows(left: np.ndarray, i: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """left[i], written at the start of scratch. The indices are in range,
+    and mode "clip" lets take write there without a buffer of its own."""
+    out = _scratch(scratch, 0, (len(i), left.shape[1]), left.dtype)
+    return left.take(i, axis=0, out=out, mode="clip")
+
+
 class KnnLearner(Learner):
-    """Brute-force k-NN with Euclidean distance and majority vote.
+    """Exact k-NN with Euclidean distance and majority vote.
 
     Vote fractions are Laplace-smoothed, (count + 1) / (k + c), so the
-    cross-entropy loss of any sample stays finite.
+    cross-entropy loss of any sample stays finite. For k = 1 a float32
+    screen over pivot cells of the training rows decides most queries
+    (_screen); a float64 kernel over every training row ranks the rest, and
+    every query for k > 1.
     """
 
     def __init__(self, k: int = 1):
@@ -189,6 +217,13 @@ class KnnLearner(Learner):
         self._right32: Optional[np.ndarray] = None
         self._mean: Optional[np.ndarray] = None
         self._T = self._Tc = math.nan
+        # the screen's cells: training row of each _right32 column, the pivot
+        # side of _pivot_products, and each cell's column range and radius
+        self._order: Optional[np.ndarray] = None
+        self._pivot_right: Optional[np.ndarray] = None
+        self._pivot32: Optional[np.ndarray] = None
+        self._bounds: Optional[np.ndarray] = None
+        self._radius: Optional[np.ndarray] = None
 
     def train(self, D: LabeledDataset) -> "KnnLearner":
         if D.n == 0:
@@ -212,11 +247,50 @@ class KnnLearner(Learner):
         self._Tc = math.sqrt(tc_sq.max())
         self._right32 = None
         if tc_sq.max() <= KNN_SCREEN_LIMIT:
-            self._right32 = np.empty((D.d + 2, D.n), dtype=np.float32)
-            self._right32[:-2] = centered.T
-            self._right32[-2] = tc_sq
-            self._right32[-1] = 1.0
+            self._build_cells(centered, tc_sq)
         return self
+
+    def _build_cells(self, centered: np.ndarray, tc_sq: np.ndarray) -> None:
+        """Partition the centered training rows into the screen's cells and
+        lay _right32 out one cell after another.
+
+        The G = ceil(sqrt(n)) pivots are rows at a fixed stride. Each row
+        joins the cell of its nearest pivot in float64, the first on a tie,
+        and empty cells are dropped. A cell's radius is the largest distance
+        from its pivot to one of its rows, rounded up.
+        """
+        n, d = centered.shape
+        G = math.isqrt(n - 1) + 1
+        at = np.arange(G) * n // G
+        pivots = centered[at]
+        self._pivot_right = np.zeros((d + 3, G))
+        self._pivot_right[:d] = -2.0 * pivots.T
+        self._pivot_right[d + 1] = np.einsum("ij,ij->i", pivots, pivots)
+        assign = np.empty(n, dtype=np.intp)
+        r_sq = np.empty(n)
+        scratch = np.empty(KNN_BLOCK_BYTES // 4, dtype=np.uint8)  # blocks of about 800 rows
+        for start, P in self._pivot_products(centered, scratch):
+            s = slice(start, start + len(P))
+            assign[s] = np.argmin(P, axis=1)
+            r_sq[s] = tc_sq[s] + P[np.arange(len(P)), assign[s]]
+        counts = np.bincount(assign, minlength=G)
+        kept = counts > 0
+        self._order = np.argsort(assign, kind="stable")
+        self._bounds = np.concatenate([[0], np.cumsum(counts[kept])])
+        # r_sq lies within the float64 kernel's (d + 4) 2^-53 (|t'| + |p'|)^2
+        # of the exact squared distance; the last factor covers the square root
+        r_sq = r_sq[self._order] + (d + 4) * 2.0**-51 * self._Tc**2
+        self._radius = np.sqrt(np.maximum.reduceat(r_sq, self._bounds[:-1])) * (1 + 2.0**-52)
+        self._pivot_right = self._pivot_right.compress(kept, axis=1)
+        self._pivot_right[d] = -2.0 * self._radius
+        self._pivot_right[d + 2] = -self._radius**2
+        right32 = np.empty((d + 2, n), dtype=np.float32)
+        right32[:-2] = centered.T
+        right32[-2] = tc_sq
+        right32[-1] = 1.0
+        # take keeps C order, which [:, order] would not
+        self._pivot32 = right32.take(at[kept], axis=1)
+        self._right32 = right32.take(self._order, axis=1)
 
     def predict_proba(self, features, true_labels=None) -> np.ndarray:
         if self._X is None:
@@ -270,10 +344,23 @@ class KnnLearner(Learner):
         norms. delta doubles the sum, the first two terms rounded up to
         (K + 5) 2^-24 (|q'| + T')^2, and adds (2K + 4) 2^-149 for float32
         underflow, so it bounds how far a float32 entry lies from the float64
-        one. A row whose float32 runner-up is below best - 2 delta has the
-        same first maximum in float64; the other rows are re-ranked, as are
-        those float32 cannot hold: (|q'| + T')^2 above KNN_SCREEN_LIMIT, or
-        not finite.
+        one, and delta / 2 how far it lies from the exact one. A row whose
+        float32 runner-up is below best - 2 delta has the same first maximum
+        in float64; the other rows are re-ranked, as are those float32 cannot
+        hold: (|q'| + T')^2 above KNN_SCREEN_LIMIT, or not finite.
+
+        Only the entries that can reach best - 2 delta are computed. A query
+        is screened first against its own cell, the one of its nearest
+        pivot, which gives a best entry top. Every row of cell h lies at
+        least |q' - p_h| - r_h from q', so where that exceeds
+        s = sqrt(3 delta - top), its entries lie below top - 2.5 delta and
+        the cell is skipped: where |q'|^2 + |p_h|^2 - 2 q'.p_h - 2 s r_h - r_h^2
+        > s^2, a float64 GEMM's result less its error bound, (d + 5) 2^-53
+        ((|q'| + T')^2 + (s + 2 T')^2). The other float64 roundings are far
+        inside the delta / 2 to spare. Skipping changes neither the best row
+        nor whether it is re-ranked. A block of queries whose remaining cells
+        hold more than KNN_CELL_FALLBACK of its query-row pairs screens every
+        row instead.
         """
         K = self._X.shape[1] + 2
         nearest = np.zeros(len(X), dtype=np.intp)
@@ -292,16 +379,145 @@ class KnnLearner(Learner):
                 + 2 * (K + 2) * 2.0**-53 * (np.sqrt(q_sq) + self._T) ** 2
                 + (2 * K + 4) * 2.0**-149
             )
-        for start, B in self._neg_sq_distances(centered[rows], self._right32):
-            m = len(B)
-            at = np.arange(m)
-            best = np.argmax(B, axis=1)
-            top = B[at, best]
-            B[at, best] = -np.inf
-            block = rows[start : start + m]
-            nearest[block] = best
-            rerank[block] = B.max(axis=1) >= top - 2 * delta[start : start + m]
+        if len(rows) < len(X):
+            centered, qc_sq = centered[rows], qc_sq[rows]
+        top = np.full(len(rows), -np.inf)
+        second = np.full(len(rows), -np.inf)
+        best = np.zeros(len(rows), dtype=np.intp)
+        scratch = np.empty(KNN_BLOCK_BYTES, dtype=np.uint8)
+        # a block's cell choices take one bool per query and cell
+        span = max(1, KNN_BLOCK_BYTES // len(self._radius))
+        for start in range(0, len(rows), span):
+            s = slice(start, start + span)
+            block = centered[s], qc_sq[s], delta[s], top[s], second[s], best[s]
+            self._screen_block(*block, scratch)
+        nearest[rows] = self._order[best]
+        rerank[rows] = second >= top - 2 * delta
         return nearest, rerank
+
+    def _screen_block(self, q, qc_sq, delta, top, second, best, scratch) -> None:
+        """Screen centered queries q against their own cells, then against
+        the other cells that _screen cannot skip. Every KNN_CELL_PROBE-th
+        query goes first: if its cells hold more than KNN_CELL_FALLBACK of
+        its query-row pairs, the block screens every column instead."""
+        (m, d), n = q.shape, self._bounds[-1]
+        left = np.empty((m, d + 2), dtype=np.float32)
+        np.multiply(q, 2.0, out=left[:, :d])
+        left[:, d] = -1.0
+        left[:, d + 1] = -qc_sq
+        own = np.empty(m, dtype=np.intp)
+        probe = np.zeros(m, dtype=bool)
+        probe[::KNN_CELL_PROBE] = True
+        sample = np.flatnonzero(probe)
+        self._screen_own_cells(left, sample, own, top, second, best, scratch)
+        need = self._unskipped_cells(
+            q[sample], qc_sq[sample], delta[sample], top[sample], own[sample], scratch
+        )
+        sizes = np.diff(self._bounds)
+        if sizes @ np.bitwise_count(need).sum(axis=1) + sizes[own[sample]].sum() > (
+            KNN_CELL_FALLBACK * len(sample) * n
+        ):
+            top[:] = second[:] = -np.inf  # the sample's own cells are screened again
+            for start, B in self._neg_sq_distances(q, self._right32):
+                self._fold(B, slice(start, start + len(B)), 0, top, second, best)
+            return
+        self._screen_own_cells(left, np.flatnonzero(~probe), own, top, second, best, scratch)
+        need = self._unskipped_cells(q, qc_sq, delta, top, own, scratch)
+        # entries below the own cell's top - 2 delta can change neither answer
+        floor = top - 2 * delta
+        for h in np.flatnonzero(need.any(axis=1)):
+            queries = np.flatnonzero(np.unpackbits(need[h], count=m))
+            self._screen_cell(left, queries, h, top, second, best, scratch, floor)
+
+    def _screen_own_cells(self, left, part, own, top, second, best, scratch) -> None:
+        """Screen the block's queries part against their own cells, the ones
+        of their nearest pivots in float32."""
+        K, G = left.shape[1], len(self._radius)
+        chunk = max(1, scratch.nbytes // (4 * (K + G)))
+        for start in range(0, len(part), chunk):
+            i = part[start : start + chunk]
+            rows = _take_rows(left, i, scratch)
+            out = _scratch(scratch, rows.nbytes, (len(i), G), np.float32)
+            own[i] = np.argmax(np.matmul(rows, self._pivot32, out=out), axis=1)
+        by_cell = part[np.argsort(own[part], kind="stable")]
+        cuts = np.searchsorted(own[by_cell], np.arange(G + 1))
+        for h in np.flatnonzero(cuts[1:] > cuts[:-1]):
+            self._screen_cell(left, by_cell[cuts[h] : cuts[h + 1]], h, top, second, best, scratch)
+
+    def _unskipped_cells(self, q, qc_sq, delta, top, own, scratch) -> np.ndarray:
+        """Whether each cell other than its own must still be screened for
+        each query of q, by the skip rule of _screen: one row of bits per
+        cell, packed by np.packbits, an eighth of a bool per pair."""
+        s_sq = 3 * delta - top
+        s = np.sqrt(s_sq)
+        limit = s_sq - qc_sq + (q.shape[1] + 5) * 2.0**-53 * (
+            (np.sqrt(qc_sq) + self._Tc) ** 2 + (s + 2 * self._Tc) ** 2
+        )
+        need = np.empty((len(self._radius), (len(q) + 7) // 8), dtype=np.uint8)
+        half = scratch.nbytes // 2
+        for start, P in self._pivot_products(q, scratch[:half], s):
+            i = slice(start, start + len(P))
+            out = _scratch(scratch[half:], 0, P.shape, bool)
+            unskipped = np.less_equal(P, limit[i, None], out=out)
+            unskipped[np.arange(len(P)), own[i]] = False
+            need[:, start // 8 : (i.stop + 7) // 8] = np.packbits(unskipped.T, axis=1)
+        return need
+
+    def _pivot_products(self, q, scratch, s=None):
+        """Yield (start, P) for each block of q's rows, where
+        P[i, h] = |p_h|^2 - 2 q_i.p_h, less 2 s_i r_h + r_h^2 if s is given:
+        one float64 GEMM [q, s, 1, 1] @ [-2p; -2r; |p|^2; -r^2]. The blocks
+        are a multiple of 8 rows (whole bytes of packed bits), and P and the
+        GEMM's left-hand side lie in scratch."""
+        (m, d), G = q.shape, self._pivot_right.shape[1]
+        chunk = min(m, max(8, scratch.nbytes // (8 * (G + d + 3)) // 8 * 8))
+        left = _scratch(scratch, 0, (chunk, d + 3), np.float64)
+        buf = _scratch(scratch, left.nbytes, (chunk, G), np.float64)
+        left[:, d] = 0.0
+        left[:, d + 1] = 1.0
+        left[:, d + 2] = s is not None
+        for start in range(0, m, chunk):
+            block = q[start : start + chunk]
+            left[: len(block), :d] = block
+            if s is not None:
+                left[: len(block), d] = s[start : start + chunk]
+            yield start, np.matmul(left[: len(block)], self._pivot_right, out=buf[: len(block)])
+
+    def _screen_cell(self, left, queries, h, top, second, best, scratch, floor=None) -> None:
+        """Screen the float32 left-hand rows of queries against cell h's
+        columns of _right32 and fold the entries into the queries' running
+        answers, as many queries at a time as scratch holds. Given floor, a
+        query whose entries all lie below its floor is left as it is, and
+        the entries are made query-major, so that each query's largest is
+        one pass of np.maximum down the columns."""
+        lo, hi = self._bounds[h : h + 2]
+        right = self._right32[:, lo:hi]
+        chunk = max(1, scratch.nbytes // (4 * (left.shape[1] + hi - lo)))
+        for start in range(0, len(queries), chunk):
+            i = queries[start : start + chunk]
+            rows = _take_rows(left, i, scratch)
+            if floor is None:
+                out = _scratch(scratch, rows.nbytes, (len(i), hi - lo), np.float32)
+                self._fold(np.matmul(rows, right, out=out), i, lo, top, second, best)
+                continue
+            out = _scratch(scratch, rows.nbytes, (hi - lo, len(i)), np.float32)
+            BT = np.matmul(right.T, rows.T, out=out)
+            hit = np.flatnonzero(BT.max(axis=0) >= floor[i])
+            self._fold(BT[:, hit].T, i[hit], lo, top, second, best)
+
+    @staticmethod
+    def _fold(B, i, lo, top, second, best) -> None:
+        """Fold float32 entries B of queries i (indices or a slice), whose
+        columns start at column lo, into the queries' running best entry
+        top, its column best and their runner-up second. B is overwritten."""
+        at = np.arange(len(B))
+        col = np.argmax(B, axis=1)
+        v = B[at, col]
+        B[at, col] = -np.inf
+        t = top[i]
+        second[i] = np.maximum(np.maximum(second[i], B.max(axis=1)), np.minimum(t, v))
+        best[i] = np.where(v > t, lo + col, best[i])
+        top[i] = np.maximum(t, v)
 
     def _neg_sq_distances(self, X: np.ndarray, right: Optional[np.ndarray] = None):
         """Yield (start, -squared distances) for each block of query rows.

@@ -11,6 +11,7 @@ import pytest
 
 import labelnoise
 from labelnoise import data as data_mod
+from labelnoise import learners
 from labelnoise.cli import (
     MAX_GRID_POINTS,
     REPORT_CSV_HEADER,
@@ -651,6 +652,40 @@ def test_report_names_a_json_file_that_is_not_json(tmp_path, capsys, name):
     assert f"error: {run_dir / name}: Expecting value: line 1 column 1 (char 0)" in err
 
 
+@pytest.mark.parametrize(
+    "name, text, field",
+    [
+        ("selection.json", '{"epsilon_hat": "x"}', "epsilon_hat"),
+        ("final.json", '{"acc_f1": "x", "acc_f2": 0.5, "best_acc": 0.5}', "acc_f1"),
+        ("metrics.csv", "experiment,class,lp,lr,eps_s\nrun,all,x,0.8,0.1\n", "lp"),
+    ],
+    ids=["selection", "final", "metrics"],
+)
+def test_report_names_the_file_and_field_that_is_not_a_number(
+    tmp_path, capsys, name, text, field
+):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / name).write_text(text)
+    assert run("report", "--runs", run_dir, "--out", tmp_path / "rep") == 1
+    assert f"error: {run_dir / name}: field {field!r} is not a number: 'x'" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "name, field", [("selection.json", "epsilon_hat"), ("final.json", "acc_f1")]
+)
+def test_report_names_a_json_file_that_holds_no_object(tmp_path, capsys, name, field):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / name).write_text("[1]")
+    assert run("report", "--runs", run_dir, "--out", tmp_path / "rep") == 1
+    assert f"error: {run_dir / name}: field {field!r} needs a JSON object, got list" in (
+        capsys.readouterr().err
+    )
+
+
 def test_report_missing_run_exits_2(tmp_path):
     code = run("report", "--runs", tmp_path / "ghost", "--out", tmp_path / "o")
     assert code == 2
@@ -703,6 +738,60 @@ def test_simulate_rejects_a_non_integer_thread_cap_before_any_work(tmp_path, mon
     assert main(["simulate", "--grid", "0.1", "--out", str(out)]) == 2
     assert "error: LABNOISE_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_simulate_rejects_a_thread_cap_below_one_before_any_work(
+    tmp_path, monkeypatch, capsys, value
+):
+    monkeypatch.setenv("LABNOISE_THREADS", value)
+    out = tmp_path / "o"
+    assert main(["simulate", "--grid", "0.1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: LABNOISE_THREADS must be an integer >= 1, got {value!r}" in err
+    assert not out.exists()
+
+
+def _outputs(root):
+    """Every file under root but resolved_config.json (it records --out), by relative path."""
+    return {
+        p.relative_to(root): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "resolved_config.json"
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--learner", "knn", "--classes", "4", "--samples", "4000",
+         "--grid", "0.1,0.4"],
+        ["simulate", "--learner", "knn", "--classes", "4", "--samples", "4000",
+         "--grid", "0.3", "--format", "json"],
+        ["incv", "--learner", "knn", "--iterations", "2"],
+    ],
+    ids=["simulate-csv", "simulate-json", "incv"],
+)
+def test_knn_commands_write_the_same_bytes_with_the_cell_screen_off(tmp_path, monkeypatch, argv):
+    if argv[0] == "incv":
+        argv = argv + ["--in", str(make_input(tmp_path, ratio=0.3, n_per_class=300))]
+    floors = []
+    screen_cell = learners.KnnLearner._screen_cell
+
+    def spy(self, left, queries, h, top, second, best, scratch, floor=None):
+        floors.append(floor is not None)  # a floor: a cell other than the queries' own
+        return screen_cell(self, left, queries, h, top, second, best, scratch, floor)
+
+    # one run name: metrics.csv records it
+    with monkeypatch.context() as mp:
+        mp.setattr(learners.KnnLearner, "_screen_cell", spy)
+        assert main(argv + ["--out", str(tmp_path / "cells" / "run")]) == 0
+    assert any(floors)
+    # a fallback share of 0 sends every query block to the full float32 screen
+    monkeypatch.setattr(learners, "KNN_CELL_FALLBACK", 0.0)
+    assert main(argv + ["--out", str(tmp_path / "full" / "run")]) == 0
+    cells = _outputs(tmp_path / "cells")
+    assert cells and cells == _outputs(tmp_path / "full")
 
 
 @pytest.mark.parametrize("learner", ["oracle", "knn"])

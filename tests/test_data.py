@@ -805,6 +805,22 @@ def _assert_source_save(D2, src, tmp, spliced, out=None):
         assert (out / name).read_bytes() == (tmp / "formatted" / name).read_bytes()
 
 
+@pytest.mark.parametrize("from_source", [False, True], ids=["formatted", "spliced"])
+def test_save_hashes_data_csv_as_it_writes_it(tmp_path, from_source):
+    D = _noisy()
+    save(D, tmp_path / "src")
+    hashed = []
+    sha256 = data_mod._sha256
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_mod, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        save(replace(D, noise=_NEW_NOISE), tmp_path / "out",
+             source=tmp_path / "src" if from_source else None)
+    # only a source's files are hashed, to verify them before the splice
+    assert tmp_path / "out" / "data.csv" not in hashed
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["data_csv_sha256"] == sha256(tmp_path / "out" / "data.csv")
+
+
 _NEW_NOISE = NoiseSpec(kind="symmetric", ratio=0.5, seed=1)
 
 

@@ -479,6 +479,71 @@ def test_knn_screen_reranks_under_one_percent_at_simulate_shape(reranked):
     assert sum(reranked) < 0.01 * len(X)
 
 
+def test_knn_cell_screen_reaches_under_a_quarter_of_the_pairs_at_simulate_shape(monkeypatch):
+    D = make_blobs(BlobSpec(c=10, d=10, n_per_class=4_000, separation=6.0, spread=1.0, seed=5))
+    train, test = split_per_class(D, 2_000)
+    learner = KnnLearner(k=1).train(train)
+    pairs = []
+    screen_cell, kernel = KnnLearner._screen_cell, KnnLearner._neg_sq_distances
+
+    def cell_spy(self, left, queries, h, *rest):
+        pairs.append(len(queries) * (self._bounds[h + 1] - self._bounds[h]))
+        return screen_cell(self, left, queries, h, *rest)
+
+    def kernel_spy(self, X, right=None):
+        if right is not None:  # the full float32 screen
+            pairs.append(len(X) * right.shape[1])
+        return kernel(self, X, right)
+
+    monkeypatch.setattr(KnnLearner, "_screen_cell", cell_spy)
+    monkeypatch.setattr(KnnLearner, "_neg_sq_distances", kernel_spy)
+    learner._nearest(test.features)
+    assert 0 < sum(pairs) < 0.25 * test.n * train.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    d=st.integers(1, 40),
+    separation=st.one_of(st.none(), st.floats(2.0, 10.0)),
+    offset=st.sampled_from([0.0, 1.0, 100.0]),
+    duplicated=st.booleans(),
+    block_bytes=st.sampled_from([None, 1 << 12, 1 << 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_knn_cell_screen_finds_the_full_screens_nearest_rows_off_near_ties(
+    n, d, separation, offset, duplicated, block_bytes, seed
+):
+    rng = np.random.default_rng(seed)
+
+    def rows(m):
+        if separation is None:  # uniform in a cube
+            return rng.uniform(-3.0, 3.0, (m, d))
+        return centers[rng.integers(0, 5, m)] + rng.standard_normal((m, d))
+
+    centers = rng.standard_normal((5, d)) * separation if separation else None
+    train_X = rows(n) + offset
+    if duplicated:
+        # half the rows repeat others, so pivots repeat and leave cells empty
+        train_X[rng.integers(0, n, n // 2)] = train_X[rng.integers(0, n, n // 2)]
+    X = np.vstack([rows(150) + offset, train_X[rng.integers(0, n, 50)]])
+    learner = index_learner(train_X)
+    neg_d2 = np.vstack([b.copy() for _, b in learner._neg_sq_distances(X)])
+    two = -np.sort(-neg_d2, axis=1)[:, :2]
+    bound = (np.sqrt(np.sum(X**2, axis=1)) + np.sqrt(np.sum(train_X**2, axis=1)).max()) ** 2
+    clear = (two[:, 0] - two[:, -1] > 1e-12 * bound) | (n == 1)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes is not None:
+            # blocks of a few rows: every query block, cell and product splits
+            mp.setattr(learners, "KNN_BLOCK_BYTES", block_bytes)
+        mp.setattr(learners, "KNN_CELL_FALLBACK", np.inf)  # cells for every block
+        cells = learner._nearest(X)
+        mp.setattr(learners, "KNN_CELL_FALLBACK", 0.0)  # the full screen for every block
+        full = learner._nearest(X)
+    assert np.array_equal(cells[clear], full[clear])
+    assert np.array_equal(cells[clear], np.argmax(neg_d2, axis=1)[clear])
+
+
 def test_knn_peak_memory_is_bounded_by_the_block_size():
     rng = np.random.default_rng(5)
     train_X = rng.standard_normal((20_000, 10))
