@@ -174,26 +174,48 @@ class OracleLearner(Learner):
 # k-nearest-neighbor memorizer
 
 
-def _scratch(buf: np.ndarray, offset: int, shape: tuple, dtype) -> np.ndarray:
-    """An uninitialised (shape, dtype) array over the bytes of buf from
-    offset on, or a fresh one where buf is too short.
+def _carve(buf: np.ndarray, *specs) -> list[np.ndarray]:
+    """Uninitialised arrays of the given (shape, dtype) pairs, laid one after
+    another over the bytes of buf at 8-byte boundaries; an array that would
+    run past the end of buf is a fresh one instead.
 
-    The cell screen cuts its temporaries from one allocation of
-    KNN_BLOCK_BYTES per call, as the full screen writes each block into one
-    buffer: a fresh array per cell, among the loop's many small ones, would
-    leave the C allocator a fragmented heap it cannot give back.
+    The 1-NN screen cuts the temporaries of its per-cell loops from one
+    buffer, so that those loops make no arrays of their own. numpy keeps
+    freed arrays under 1 KiB for reuse, and one kept near the top of a
+    thread's C heap stops the heap from shrinking below it: fresh arrays of
+    as many sizes as there are cells and hits had raised simulate's peak
+    RSS by about 10%.
     """
-    dtype = np.dtype(dtype)
-    if offset + math.prod(shape) * dtype.itemsize > buf.nbytes:
-        return np.empty(shape, dtype)
-    return np.ndarray(shape, dtype, buffer=buf, offset=offset)
+    arrays, offset = [], 0
+    for shape, dtype in specs:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        if offset + size <= buf.nbytes:
+            arrays.append(np.ndarray(shape, dtype, buffer=buf, offset=offset))
+        else:
+            arrays.append(np.empty(shape, dtype))
+        offset += -(-size // 8) * 8
+    return arrays
 
 
-def _take_rows(left: np.ndarray, i: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """left[i], written at the start of scratch. The indices are in range,
-    and mode "clip" lets take write there without a buffer of its own."""
-    out = _scratch(scratch, 0, (len(i), left.shape[1]), left.dtype)
-    return left.take(i, axis=0, out=out, mode="clip")
+# bytes per query of _screen_cell's temporaries besides its rows and entries
+_FOLD_BYTES = 2 * 8 + 4 * 4 + 1
+
+
+@dataclass
+class _Screened:
+    """A block of 1-NN screen queries: each one's largest float32 entry top,
+    its column best of _right32 and the runner-up second; the buffer that
+    holds the screen's temporaries; the positions 0, 1, ... m - 1; and room
+    for m query positions, the lists of _screen_block and _reaching."""
+
+    top: np.ndarray
+    second: np.ndarray
+    best: np.ndarray
+    scratch: np.ndarray
+    steps: np.ndarray
+    queries: np.ndarray
+    hits: np.ndarray
 
 
 class KnnLearner(Learner):
@@ -238,6 +260,9 @@ class KnnLearner(Learner):
         right[-1] = 1.0
         self._right = right
         self._T = math.sqrt(right[-2].max())
+        self._right32 = None
+        if min(self.k, D.n) > 1:  # only k = 1 reads the screen's state
+            return self
         # the 1-NN screen in _screen runs on features centered by the training
         # mean, so its float32 error follows the spread of the data, not its offset
         with np.errstate(invalid="ignore", over="ignore"):
@@ -245,7 +270,6 @@ class KnnLearner(Learner):
             centered = self._X - self._mean
             tc_sq = np.einsum("ij,ij->i", centered, centered)
         self._Tc = math.sqrt(tc_sq.max())
-        self._right32 = None
         if tc_sq.max() <= KNN_SCREEN_LIMIT:
             self._build_cells(centered, tc_sq)
         return self
@@ -262,6 +286,10 @@ class KnnLearner(Learner):
         n, d = centered.shape
         G = math.isqrt(n - 1) + 1
         at = np.arange(G) * n // G
+        # the arrays kept are made before the temporaries, so that they lie
+        # below them on the C heap and the temporaries' room is given back whole
+        self._right32 = np.empty((d + 2, n), dtype=np.float32)
+        self._order = np.empty(n, dtype=np.intp)
         pivots = centered[at]
         self._pivot_right = np.zeros((d + 3, G))
         self._pivot_right[:d] = -2.0 * pivots.T
@@ -273,14 +301,17 @@ class KnnLearner(Learner):
             s = slice(start, start + len(P))
             assign[s] = np.argmin(P, axis=1)
             r_sq[s] = tc_sq[s] + P[np.arange(len(P)), assign[s]]
+        del scratch
         counts = np.bincount(assign, minlength=G)
         kept = counts > 0
-        self._order = np.argsort(assign, kind="stable")
+        self._order[:] = np.argsort(assign, kind="stable")
+        del assign
         self._bounds = np.concatenate([[0], np.cumsum(counts[kept])])
         # r_sq lies within the float64 kernel's (d + 4) 2^-53 (|t'| + |p'|)^2
         # of the exact squared distance; the last factor covers the square root
         r_sq = r_sq[self._order] + (d + 4) * 2.0**-51 * self._Tc**2
         self._radius = np.sqrt(np.maximum.reduceat(r_sq, self._bounds[:-1])) * (1 + 2.0**-52)
+        del r_sq
         self._pivot_right = self._pivot_right.compress(kept, axis=1)
         self._pivot_right[d] = -2.0 * self._radius
         self._pivot_right[d + 2] = -self._radius**2
@@ -288,9 +319,8 @@ class KnnLearner(Learner):
         right32[:-2] = centered.T
         right32[-2] = tc_sq
         right32[-1] = 1.0
-        # take keeps C order, which [:, order] would not
         self._pivot32 = right32.take(at[kept], axis=1)
-        self._right32 = right32.take(self._order, axis=1)
+        np.take(right32, self._order, axis=1, out=self._right32, mode="clip")
 
     def predict_proba(self, features, true_labels=None) -> np.ndarray:
         if self._X is None:
@@ -381,21 +411,25 @@ class KnnLearner(Learner):
             )
         if len(rows) < len(X):
             centered, qc_sq = centered[rows], qc_sq[rows]
-        top = np.full(len(rows), -np.inf)
-        second = np.full(len(rows), -np.inf)
+        # every entry is a float32, so float32 running answers hold them exactly
+        top = np.full(len(rows), -np.inf, dtype=np.float32)
+        second = np.full(len(rows), -np.inf, dtype=np.float32)
         best = np.zeros(len(rows), dtype=np.intp)
         scratch = np.empty(KNN_BLOCK_BYTES, dtype=np.uint8)
         # a block's cell choices take one bool per query and cell
         span = max(1, KNN_BLOCK_BYTES // len(self._radius))
+        steps = np.arange(min(span, len(rows)))
+        lists = np.empty((2, len(steps)), dtype=np.intp)
         for start in range(0, len(rows), span):
             s = slice(start, start + span)
-            block = centered[s], qc_sq[s], delta[s], top[s], second[s], best[s]
-            self._screen_block(*block, scratch)
+            m = len(top[s])
+            block = _Screened(top[s], second[s], best[s], scratch, steps[:m], *lists[:, :m])
+            self._screen_block(centered[s], qc_sq[s], delta[s], block)
         nearest[rows] = self._order[best]
         rerank[rows] = second >= top - 2 * delta
         return nearest, rerank
 
-    def _screen_block(self, q, qc_sq, delta, top, second, best, scratch) -> None:
+    def _screen_block(self, q, qc_sq, delta, block: _Screened) -> None:
         """Screen centered queries q against their own cells, then against
         the other cells that _screen cannot skip. Every KNN_CELL_PROBE-th
         query goes first: if its cells hold more than KNN_CELL_FALLBACK of
@@ -409,40 +443,47 @@ class KnnLearner(Learner):
         probe = np.zeros(m, dtype=bool)
         probe[::KNN_CELL_PROBE] = True
         sample = np.flatnonzero(probe)
-        self._screen_own_cells(left, sample, own, top, second, best, scratch)
+        self._screen_own_cells(left, sample, own, block)
         need = self._unskipped_cells(
-            q[sample], qc_sq[sample], delta[sample], top[sample], own[sample], scratch
+            q[sample], qc_sq[sample], delta[sample], block.top[sample], own[sample], block.scratch
         )
         sizes = np.diff(self._bounds)
-        if sizes @ np.bitwise_count(need).sum(axis=1) + sizes[own[sample]].sum() > (
-            KNN_CELL_FALLBACK * len(sample) * n
-        ):
-            top[:] = second[:] = -np.inf  # the sample's own cells are screened again
-            for start, B in self._neg_sq_distances(q, self._right32):
-                self._fold(B, slice(start, start + len(B)), 0, top, second, best)
+        pairs = sizes @ np.count_nonzero(np.unpackbits(need, axis=1), axis=1)
+        if pairs + sizes[own[sample]].sum() > KNN_CELL_FALLBACK * len(sample) * n:
+            self._screen_cell(left, block.steps, 0, n, block)  # the sample's answers too
             return
-        self._screen_own_cells(left, np.flatnonzero(~probe), own, top, second, best, scratch)
-        need = self._unskipped_cells(q, qc_sq, delta, top, own, scratch)
+        self._screen_own_cells(left, np.flatnonzero(~probe), own, block)
+        need = self._unskipped_cells(q, qc_sq, delta, block.top, own, block.scratch)
         # entries below the own cell's top - 2 delta can change neither answer
-        floor = top - 2 * delta
-        for h in np.flatnonzero(need.any(axis=1)):
-            queries = np.flatnonzero(np.unpackbits(need[h], count=m))
-            self._screen_cell(left, queries, h, top, second, best, scratch, floor)
+        floor = block.top - 2 * delta
+        # cells are walked through Python lists, not index arrays of varying
+        # length, which numpy would keep (see _carve)
+        for h, busy in enumerate(need.any(axis=1).tolist()):
+            if busy:
+                wanted = np.unpackbits(need[h], count=m).view(bool)
+                i = np.compress(wanted, block.steps, out=block.queries[: np.count_nonzero(wanted)])
+                self._screen_cell(left, i, *self._bounds[h : h + 2], block, floor)
 
-    def _screen_own_cells(self, left, part, own, top, second, best, scratch) -> None:
+    def _screen_own_cells(self, left, part, own, block: _Screened) -> None:
         """Screen the block's queries part against their own cells, the ones
         of their nearest pivots in float32."""
         K, G = left.shape[1], len(self._radius)
-        chunk = max(1, scratch.nbytes // (4 * (K + G)))
+        # 64 bytes cover _carve's alignment
+        chunk = max(1, (block.scratch.nbytes - 64) // (4 * (K + G) + 8))
         for start in range(0, len(part), chunk):
             i = part[start : start + chunk]
-            rows = _take_rows(left, i, scratch)
-            out = _scratch(scratch, rows.nbytes, (len(i), G), np.float32)
-            own[i] = np.argmax(np.matmul(rows, self._pivot32, out=out), axis=1)
+            rows, P, col = _carve(
+                block.scratch, ((len(i), K), np.float32), ((len(i), G), np.float32),
+                ((len(i),), np.intp),
+            )
+            left.take(i, axis=0, out=rows, mode="clip")
+            own[i] = np.argmax(np.matmul(rows, self._pivot32, out=P), axis=1, out=col)
         by_cell = part[np.argsort(own[part], kind="stable")]
-        cuts = np.searchsorted(own[by_cell], np.arange(G + 1))
-        for h in np.flatnonzero(cuts[1:] > cuts[:-1]):
-            self._screen_cell(left, by_cell[cuts[h] : cuts[h + 1]], h, top, second, best, scratch)
+        cuts = np.searchsorted(own[by_cell], np.arange(G + 1)).tolist()
+        for h in range(G):
+            if cuts[h] < cuts[h + 1]:
+                queries = by_cell[cuts[h] : cuts[h + 1]]
+                self._screen_cell(left, queries, *self._bounds[h : h + 2], block)
 
     def _unskipped_cells(self, q, qc_sq, delta, top, own, scratch) -> np.ndarray:
         """Whether each cell other than its own must still be screened for
@@ -457,7 +498,7 @@ class KnnLearner(Learner):
         half = scratch.nbytes // 2
         for start, P in self._pivot_products(q, scratch[:half], s):
             i = slice(start, start + len(P))
-            out = _scratch(scratch[half:], 0, P.shape, bool)
+            (out,) = _carve(scratch[half:], (P.shape, bool))
             unskipped = np.less_equal(P, limit[i, None], out=out)
             unskipped[np.arange(len(P)), own[i]] = False
             need[:, start // 8 : (i.stop + 7) // 8] = np.packbits(unskipped.T, axis=1)
@@ -471,8 +512,7 @@ class KnnLearner(Learner):
         GEMM's left-hand side lie in scratch."""
         (m, d), G = q.shape, self._pivot_right.shape[1]
         chunk = min(m, max(8, scratch.nbytes // (8 * (G + d + 3)) // 8 * 8))
-        left = _scratch(scratch, 0, (chunk, d + 3), np.float64)
-        buf = _scratch(scratch, left.nbytes, (chunk, G), np.float64)
+        left, buf = _carve(scratch, ((chunk, d + 3), np.float64), ((chunk, G), np.float64))
         left[:, d] = 0.0
         left[:, d + 1] = 1.0
         left[:, d + 2] = s is not None
@@ -483,41 +523,76 @@ class KnnLearner(Learner):
                 left[: len(block), d] = s[start : start + chunk]
             yield start, np.matmul(left[: len(block)], self._pivot_right, out=buf[: len(block)])
 
-    def _screen_cell(self, left, queries, h, top, second, best, scratch, floor=None) -> None:
-        """Screen the float32 left-hand rows of queries against cell h's
-        columns of _right32 and fold the entries into the queries' running
-        answers, as many queries at a time as scratch holds. Given floor, a
-        query whose entries all lie below its floor is left as it is, and
-        the entries are made query-major, so that each query's largest is
-        one pass of np.maximum down the columns."""
-        lo, hi = self._bounds[h : h + 2]
+    def _screen_cell(self, left, queries, lo, hi, block: _Screened, floor=None) -> None:
+        """Screen the float32 left-hand rows of queries against columns
+        lo:hi of _right32, as many queries at a time as the scratch buffer
+        holds. Without floor, each query's answer becomes these columns':
+        the largest entry top, its column best and the runner-up second.
+        Given floor, the queries that _reaching finds fold their entries
+        into the answers they have; the others keep theirs."""
+        K, S = left.shape[1], hi - lo
         right = self._right32[:, lo:hi]
-        chunk = max(1, scratch.nbytes // (4 * (left.shape[1] + hi - lo)))
+        if floor is not None:
+            queries = self._reaching(left, queries, right, floor, block)
+        top, second, best = block.top, block.second, block.best
+        chunk = max(1, (block.scratch.nbytes - 64) // (4 * (K + S) + _FOLD_BYTES))
         for start in range(0, len(queries), chunk):
             i = queries[start : start + chunk]
-            rows = _take_rows(left, i, scratch)
+            L = len(i)
+            rows, B, (col, flat), (v, w, t, s), up = _carve(
+                block.scratch, ((L, K), np.float32), ((L, S), np.float32),
+                ((2, L), np.intp), ((4, L), np.float32), ((L,), bool),
+            )
+            left.take(i, axis=0, out=rows, mode="clip")
+            np.matmul(rows, right, out=B)
+            # each query's largest entry v, at column col; with it struck out,
+            # the largest left is its runner-up w
+            np.argmax(B, axis=1, out=col)
+            np.multiply(block.steps[:L], S, out=flat)
+            flat += col
+            B.take(flat, out=v, mode="clip")
+            B.put(flat, -np.inf)
+            np.max(B, axis=1, out=w)
+            col += lo
             if floor is None:
-                out = _scratch(scratch, rows.nbytes, (len(i), hi - lo), np.float32)
-                self._fold(np.matmul(rows, right, out=out), i, lo, top, second, best)
+                top[i], second[i], best[i] = v, w, col
                 continue
-            out = _scratch(scratch, rows.nbytes, (hi - lo, len(i)), np.float32)
-            BT = np.matmul(right.T, rows.T, out=out)
-            hit = np.flatnonzero(BT.max(axis=0) >= floor[i])
-            self._fold(BT[:, hit].T, i[hit], lo, top, second, best)
+            top.take(i, out=t, mode="clip")
+            second.take(i, out=s, mode="clip")
+            # the new runner-up: the largest of second, w and the lesser of top and v
+            np.maximum(s, w, out=s)
+            np.maximum(s, np.minimum(t, v, out=w), out=s)
+            second[i] = s
+            np.greater(v, t, out=up)
+            np.maximum(t, v, out=t)
+            top[i] = t
+            best.take(i, out=flat, mode="clip")
+            np.copyto(flat, col, where=up)
+            best[i] = flat
 
     @staticmethod
-    def _fold(B, i, lo, top, second, best) -> None:
-        """Fold float32 entries B of queries i (indices or a slice), whose
-        columns start at column lo, into the queries' running best entry
-        top, its column best and their runner-up second. B is overwritten."""
-        at = np.arange(len(B))
-        col = np.argmax(B, axis=1)
-        v = B[at, col]
-        B[at, col] = -np.inf
-        t = top[i]
-        second[i] = np.maximum(np.maximum(second[i], B.max(axis=1)), np.minimum(t, v))
-        best[i] = np.where(v > t, lo + col, best[i])
-        top[i] = np.maximum(t, v)
+    def _reaching(left, queries, right, floor, block: _Screened) -> np.ndarray:
+        """The queries with an entry against the columns right that reaches
+        their floor, in order, written to block.hits. The entries are made
+        one column per query, so each query's largest is one pass of
+        np.maximum down the columns; the other queries can change nothing."""
+        K, S = right.shape
+        found = 0
+        chunk = max(1, (block.scratch.nbytes - 64) // (4 * (K + S) + 4 + 8 + 1))
+        for start in range(0, len(queries), chunk):
+            i = queries[start : start + chunk]
+            L = len(i)
+            rows, BT, v, f, up = _carve(
+                block.scratch, ((L, K), np.float32), ((S, L), np.float32), ((L,), np.float32),
+                ((L,), np.float64), ((L,), bool),
+            )
+            left.take(i, axis=0, out=rows, mode="clip")
+            np.max(np.matmul(right.T, rows.T, out=BT), axis=0, out=v)
+            floor.take(i, out=f, mode="clip")
+            reached = np.count_nonzero(np.greater_equal(v, f, out=up))
+            np.compress(up, i, out=block.hits[found : found + reached])
+            found += reached
+        return block.hits[:found]
 
     def _neg_sq_distances(self, X: np.ndarray, right: Optional[np.ndarray] = None):
         """Yield (start, -squared distances) for each block of query rows.

@@ -778,9 +778,9 @@ def test_knn_commands_write_the_same_bytes_with_the_cell_screen_off(tmp_path, mo
     floors = []
     screen_cell = learners.KnnLearner._screen_cell
 
-    def spy(self, left, queries, h, top, second, best, scratch, floor=None):
+    def spy(self, left, queries, lo, hi, block, floor=None):
         floors.append(floor is not None)  # a floor: a cell other than the queries' own
-        return screen_cell(self, left, queries, h, top, second, best, scratch, floor)
+        return screen_cell(self, left, queries, lo, hi, block, floor)
 
     # one run name: metrics.csv records it
     with monkeypatch.context() as mp:

@@ -479,24 +479,26 @@ def test_knn_screen_reranks_under_one_percent_at_simulate_shape(reranked):
     assert sum(reranked) < 0.01 * len(X)
 
 
+@pytest.mark.parametrize("k, n, cells", [(1, 50, True), (3, 50, False), (3, 1, True)])
+def test_knn_builds_the_screen_only_where_k_is_one(k, n, cells):
+    # a lone training row makes any k a 1-NN search
+    learner = index_learner(np.random.default_rng(9).standard_normal((n, 3)), k)
+    assert (learner._right32 is not None) == cells
+    assert (learner._order is not None) == cells
+
+
 def test_knn_cell_screen_reaches_under_a_quarter_of_the_pairs_at_simulate_shape(monkeypatch):
     D = make_blobs(BlobSpec(c=10, d=10, n_per_class=4_000, separation=6.0, spread=1.0, seed=5))
     train, test = split_per_class(D, 2_000)
     learner = KnnLearner(k=1).train(train)
     pairs = []
-    screen_cell, kernel = KnnLearner._screen_cell, KnnLearner._neg_sq_distances
+    screen_cell = KnnLearner._screen_cell
 
-    def cell_spy(self, left, queries, h, *rest):
-        pairs.append(len(queries) * (self._bounds[h + 1] - self._bounds[h]))
-        return screen_cell(self, left, queries, h, *rest)
+    def spy(self, left, queries, lo, hi, block, floor=None):
+        pairs.append(len(queries) * (hi - lo))
+        return screen_cell(self, left, queries, lo, hi, block, floor)
 
-    def kernel_spy(self, X, right=None):
-        if right is not None:  # the full float32 screen
-            pairs.append(len(X) * right.shape[1])
-        return kernel(self, X, right)
-
-    monkeypatch.setattr(KnnLearner, "_screen_cell", cell_spy)
-    monkeypatch.setattr(KnnLearner, "_neg_sq_distances", kernel_spy)
+    monkeypatch.setattr(KnnLearner, "_screen_cell", spy)
     learner._nearest(test.features)
     assert 0 < sum(pairs) < 0.25 * test.n * train.n
 
