@@ -324,6 +324,8 @@ def cmd_incv(args) -> int:
             ratio = float(ratio)
         except ValueError:
             raise UsageError(f"--remove-ratio must be 'auto' or a number, got {ratio!r}")
+        if not 0 <= ratio < math.inf:
+            raise UsageError(f"--remove-ratio must be finite and >= 0, got {args.remove_ratio}")
     return _run_selection(args, iterations=args.iterations, remove_ratio=ratio)
 
 
@@ -417,6 +419,9 @@ def _field(record, key: str, path: Path):
 
 
 def _number(record, key: str, path: Path) -> float:
+    # write_json writes NaN as null; an absent key stays a missing field
+    if path.suffix == ".json" and isinstance(record, dict) and record.get(key, 0) is None:
+        return math.nan
     value = _field(record, key, path)
     try:
         return float(value)

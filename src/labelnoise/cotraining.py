@@ -49,10 +49,10 @@ class CoTrainConfig:
             raise ValueError(f"base_batch must be >= 2, got {self.base_batch}")
         if not 0.0 <= self.eps_s < 1.0:
             raise ValueError(f"eps_s must lie in [0, 1), got {self.eps_s}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.decay_factor <= 0:
-            raise ValueError(f"decay_factor must be > 0, got {self.decay_factor}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 < self.decay_factor < math.inf:
+            raise ValueError(f"decay_factor must be finite and > 0, got {self.decay_factor}")
 
     def rate_at(self, epoch: int) -> float:
         drops = sum(1 for m in self.decay_epochs if epoch >= m)

@@ -48,6 +48,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -89,10 +90,10 @@ class BlobSpec:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.n_per_class < 1:
             raise ValueError(f"n_per_class must be >= 1, got {self.n_per_class}")
-        if self.separation < 0:
-            raise ValueError(f"separation must be >= 0, got {self.separation}")
-        if self.spread <= 0:
-            raise ValueError(f"spread must be > 0, got {self.spread}")
+        if not 0 <= self.separation < math.inf:
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
+        if not 0 < self.spread < math.inf:
+            raise ValueError(f"spread must be finite and > 0, got {self.spread}")
 
     def to_dict(self) -> dict:
         return {
@@ -289,8 +290,23 @@ def write_csv(path: Path, header, rows) -> None:
 
 
 def write_json(path: Path, payload) -> None:
-    """Sorted keys, two-space indent and a final newline."""
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Sorted keys, two-space indent and a final newline. JSON has no NaN or
+    infinity, so a float that is not finite is written as null."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float somewhere in payload
+        text = json.dumps(_null_non_finite(payload), sort_keys=True, indent=2)
+    path.write_text(text + "\n")
+
+
+def _null_non_finite(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _null_non_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(v) for v in value]
+    return value
 
 
 def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) -> None:

@@ -36,9 +36,6 @@ LOSS_CLAMP = 1e-12
 DIVERGENCE_LIMIT = 1e6
 KNN_BLOCK_BYTES = 1 << 22  # k-NN distance block: 4 MiB of float64, cache-sized
 KNN_SCREEN_LIMIT = 1e30  # largest centered (|q| + max |t|)^2 the float32 1-NN screen takes
-KNN_CELL_FALLBACK = 0.5  # a query block whose unpruned cells hold a larger share of its pairs
-                         # screens every training row instead
-KNN_CELL_PROBE = 16  # that share is measured on every this many-th query of the block
 
 
 class MissingTrueLabelsError(ValueError):
@@ -62,8 +59,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 class Learner:
@@ -391,9 +388,7 @@ class KnnLearner(Learner):
         > s^2, a float64 GEMM's result less its error bound, (d + 5) 2^-53
         ((|q'| + T')^2 + (s + 2 T')^2). The other float64 roundings are far
         inside the delta / 2 to spare. Skipping changes neither the best row
-        nor whether it is re-ranked. A block of queries whose remaining cells
-        hold more than KNN_CELL_FALLBACK of its query-row pairs screens every
-        row instead.
+        nor whether it is re-ranked.
         """
         K = self._X.shape[1] + 2
         nearest = np.zeros(len(X), dtype=np.intp)
@@ -434,28 +429,14 @@ class KnnLearner(Learner):
 
     def _screen_block(self, q, qc_sq, delta, block: _Screened) -> None:
         """Screen centered queries q against their own cells, then against
-        the other cells that _screen cannot skip. Every KNN_CELL_PROBE-th
-        query goes first: if its cells hold more than KNN_CELL_FALLBACK of
-        its query-row pairs, the block screens every column instead."""
-        (m, d), n = q.shape, self._bounds[-1]
+        the other cells that _screen cannot skip."""
+        m, d = q.shape
         left = np.empty((m, d + 2), dtype=np.float32)
         np.multiply(q, 2.0, out=left[:, :d])
         left[:, d] = -1.0
         left[:, d + 1] = -qc_sq
         own = np.empty(m, dtype=np.intp)
-        probe = np.zeros(m, dtype=bool)
-        probe[::KNN_CELL_PROBE] = True
-        sample = np.flatnonzero(probe)
-        self._screen_own_cells(left, sample, own, block)
-        need = self._unskipped_cells(
-            q[sample], qc_sq[sample], delta[sample], block.top[sample], own[sample], block.scratch
-        )
-        sizes = np.diff(self._bounds)
-        pairs = sizes @ np.count_nonzero(np.unpackbits(need, axis=1), axis=1)
-        if pairs + sizes[own[sample]].sum() > KNN_CELL_FALLBACK * len(sample) * n:
-            self._screen_cell(left, block.steps, 0, n, block)  # the sample's answers too
-            return
-        self._screen_own_cells(left, np.flatnonzero(~probe), own, block)
+        self._screen_own_cells(left, own, block)
         need = self._unskipped_cells(q, qc_sq, delta, block.top, own, block.scratch)
         # entries below the own cell's top - 2 delta can change neither answer
         floor = block.top - 2 * delta
@@ -467,21 +448,16 @@ class KnnLearner(Learner):
                 i = np.compress(wanted, block.steps, out=block.queries[: np.count_nonzero(wanted)])
                 self._screen_cell(left, i, *self._bounds[h : h + 2], block, floor)
 
-    def _screen_own_cells(self, left, part, own, block: _Screened) -> None:
-        """Screen the block's queries part against their own cells, the ones
-        of their nearest pivots in float32."""
-        K, G = left.shape[1], len(self._radius)
-        # 64 bytes cover _carve's alignment
-        chunk = max(1, (block.scratch.nbytes - 64) // (4 * (K + G) + 8))
-        for start in range(0, len(part), chunk):
-            i = part[start : start + chunk]
-            rows, P, col = _carve(
-                block.scratch, ((len(i), K), np.float32), ((len(i), G), np.float32),
-                ((len(i),), np.intp),
-            )
-            left.take(i, axis=0, out=rows, mode="clip")
-            own[i] = np.argmax(np.matmul(rows, self._pivot32, out=P), axis=1, out=col)
-        by_cell = part[np.argsort(own[part], kind="stable")]
+    def _screen_own_cells(self, left, own, block: _Screened) -> None:
+        """Screen the block's queries against their own cells, the ones of
+        their nearest pivots in float32, written to own."""
+        G = len(self._radius)
+        chunk = max(1, block.scratch.nbytes // (4 * G))
+        for start in range(0, len(left), chunk):
+            rows = left[start : start + chunk]
+            (P,) = _carve(block.scratch, ((len(rows), G), np.float32))
+            np.argmax(np.matmul(rows, self._pivot32, out=P), axis=1, out=own[start : start + chunk])
+        by_cell = np.argsort(own, kind="stable")
         cuts = np.searchsorted(own[by_cell], np.arange(G + 1)).tolist()
         for h in range(G):
             if cuts[h] < cuts[h + 1]:
@@ -597,28 +573,26 @@ class KnnLearner(Learner):
             found += reached
         return block.hits[:found]
 
-    def _neg_sq_distances(self, X: np.ndarray, right: Optional[np.ndarray] = None):
+    def _neg_sq_distances(self, X: np.ndarray):
         """Yield (start, -squared distances) for each block of query rows.
 
-        right is the augmented training matrix, self._right unless given; it
-        sets the dtype of the GEMM. A block holds at most KNN_BLOCK_BYTES of
-        distances and is a view of one buffer that the next block
-        overwrites. One GEMM makes it:
+        A block holds at most KNN_BLOCK_BYTES of float64 distances and is a
+        view of one buffer that the next block overwrites. One GEMM against
+        the augmented training matrix makes it:
         [2q, -1, -|q|^2] @ [t; |t|^2; 1] = -(|t|^2 - 2q.t + |q|^2). The query
         norm does not change the ranking, but its rounding decides near-ties.
         """
-        right = self._right if right is None else right
         n, d = self._X.shape
-        chunk = max(1, min(len(X), KNN_BLOCK_BYTES // (right.itemsize * n)))
-        buf = np.empty((chunk, n), dtype=right.dtype)
-        left = np.empty((chunk, d + 2), dtype=right.dtype)
+        chunk = max(1, min(len(X), KNN_BLOCK_BYTES // (8 * n)))
+        buf = np.empty((chunk, n))
+        left = np.empty((chunk, d + 2))
         left[:, -2] = -1.0
         for start in range(0, len(X), chunk):
             block = X[start : start + chunk]
             m = len(block)
             np.multiply(block, 2.0, out=left[:m, :d])
             left[:m, -1] = -np.einsum("ij,ij->i", block, block)
-            yield start, np.matmul(left[:m], right, out=buf[:m])
+            yield start, np.matmul(left[:m], self._right, out=buf[:m])
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ also discarding the largest-loss disagreeing samples.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -186,8 +187,8 @@ def incv(
     auto_r = remove_ratio == "auto"
     if not auto_r:
         remove_ratio = float(remove_ratio)
-        if remove_ratio < 0:
-            raise ValueError(f"remove_ratio must be >= 0, got {remove_ratio}")
+        if not 0 <= remove_ratio < math.inf:
+            raise ValueError(f"remove_ratio must be finite and >= 0, got {remove_ratio}")
     if D.n < 2:
         raise ValueError(f"need at least 2 samples to split, got {D.n}")
 

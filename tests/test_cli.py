@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -22,7 +23,9 @@ from labelnoise.cli import (
     main,
     parse_grid,
 )
-from labelnoise.data import BlobSpec, LabeledDataset, corrupt_dataset, make_blobs, write_csv
+from labelnoise.data import (
+    BlobSpec, LabeledDataset, corrupt_dataset, make_blobs, write_csv, write_json,
+)
 from labelnoise.noise import NoiseSpec
 
 
@@ -118,6 +121,16 @@ def test_write_csv_formats_floats_and_stringifies_other_cells(tmp_path):
     )
     write_csv(tmp_path / "m.csv", None, np.eye(2))
     assert (tmp_path / "m.csv").read_text() == "1,0\n0,1\n"
+
+
+def test_write_json_writes_null_for_non_finite_floats(tmp_path):
+    finite = {"b": [1, np.float64(1 / 3), (0.1, "x")], "a": {"c": -0.0, "d": None}}
+    write_json(tmp_path / "f.json", finite)
+    assert (tmp_path / "f.json").read_text() == json.dumps(finite, sort_keys=True, indent=2) + "\n"
+    write_json(tmp_path / "n.json", {**finite, "e": [np.nan, {"f": -math.inf}], "g": math.inf})
+    assert (tmp_path / "n.json").read_text() == json.dumps(
+        {**finite, "e": [None, {"f": None}], "g": None}, sort_keys=True, indent=2
+    ) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +452,39 @@ def test_incv_rejects_malformed_remove_ratio(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("ratio", ["-0.1", "nan", "inf"])
+def test_incv_rejects_a_negative_or_non_finite_remove_ratio_before_reading(
+    tmp_path, capsys, ratio
+):
+    # the input does not exist: the usage error comes first
+    code = run("incv", "--in", tmp_path / "absent", "--remove-ratio", ratio,
+               "--out", tmp_path / "o")
+    assert code == 2
+    assert f"error: --remove-ratio must be finite and >= 0, got {ratio}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["simulate", "--separation", "nan", "--samples", 40, "--grid", 0.2], "separation"),
+        (["simulate", "--spread", "inf", "--samples", 40, "--grid", 0.2], "spread"),
+        (["incv", "--learner", "softmax", "--lr", "nan"], "learning_rate"),
+        (["cotrain", "--lr", "nan"], "learning_rate"),
+        (["cotrain", "--decay-factor", "nan", "--decay-epochs", 2], "decay_factor"),
+    ],
+    ids=["separation", "spread", "incv-lr", "cotrain-lr", "decay-factor"],
+)
+def test_non_finite_numeric_options_exit_1_naming_the_field(tmp_path, capsys, argv, field):
+    if argv[0] != "simulate":
+        src = make_input(tmp_path, ratio=0.2)
+        argv = argv + ["--in", src]
+    if argv[0] == "cotrain":
+        assert run("incv", "--in", src, "--iterations", 1, "--out", tmp_path / "sel") == 0
+        argv = argv + ["--selection", tmp_path / "sel" / "selection.json"]
+    assert run(*argv, "--out", tmp_path / "o") == 1
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+
+
 def test_selection_with_knn_learner(tmp_path):
     src = make_input(tmp_path, ratio=0.2)
     out = tmp_path / "sel"
@@ -616,6 +662,37 @@ def test_report_merges_runs(tmp_path):
     assert ct_row["lp"] == "nan"
 
 
+def _strict_json(path):
+    """The JSON value in path, refusing NaN and infinities, which JSON lacks."""
+
+    def refuse(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_json_artifacts_hold_no_bare_nan(tmp_path):
+    # without --test, cotrain has no accuracy to record; report lacks fields
+    # of each run; the oracle simulate table stands in for every format-json table
+    src, _, sel = pipeline(tmp_path)
+    ct = tmp_path / "ct"
+    assert run("cotrain", "--in", src, "--selection", sel / "selection.json",
+               "--warmup", 1, "--epochs", 2, "--batch", 8, "--out", ct) == 0
+    assert run("report", "--runs", sel, ct, "--format", "json", "--out", tmp_path / "rep") == 0
+    assert run("simulate", "--samples", 400, "--grid", "0.2,0.5", "--format", "json",
+               "--out", tmp_path / "sim") == 0
+    paths = sorted(tmp_path.glob("*/*.json"))
+    assert {p.parent.name for p in paths} >= {"sel", "ct", "rep", "sim"}
+    for path in paths:
+        _strict_json(path)
+    assert _strict_json(ct / "final.json")["acc_f1"] is None
+    report = _strict_json(tmp_path / "rep" / "report.json")
+    assert report[0]["acc_f1"] is None and report[1]["lp"] is None
+    # report reads a null back as NaN
+    assert run("report", "--runs", ct, "--out", tmp_path / "rep_csv") == 0
+    assert dict(zip(*read_csv(tmp_path / "rep_csv" / "report.csv")))["acc_f1"] == "nan"
+
+
 def test_report_json_format(tmp_path):
     _, _, sel = pipeline(tmp_path)
     out = tmp_path / "rep"
@@ -787,8 +864,8 @@ def test_knn_commands_write_the_same_bytes_with_the_cell_screen_off(tmp_path, mo
         mp.setattr(learners.KnnLearner, "_screen_cell", spy)
         assert main(argv + ["--out", str(tmp_path / "cells" / "run")]) == 0
     assert any(floors)
-    # a fallback share of 0 sends every query block to the full float32 screen
-    monkeypatch.setattr(learners, "KNN_CELL_FALLBACK", 0.0)
+    # a negative limit leaves the float32 screen unbuilt: the float64 kernel ranks every query
+    monkeypatch.setattr(learners, "KNN_SCREEN_LIMIT", -1.0)
     assert main(argv + ["--out", str(tmp_path / "full" / "run")]) == 0
     cells = _outputs(tmp_path / "cells")
     assert cells and cells == _outputs(tmp_path / "full")

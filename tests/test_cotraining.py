@@ -135,6 +135,13 @@ def test_config_validation(bad):
         cotrain_cfg(**bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["learning_rate", "decay_factor"])
+def test_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cotrain_cfg(**{field: value})
+
+
 def test_config_rate_schedule():
     cfg = cotrain_cfg(learning_rate=0.4, decay_factor=0.5, decay_epochs=(3,))
     assert cfg.rate_at(2) == 0.4

@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -44,6 +45,14 @@ def test_blob_spec_validation():
         BlobSpec(c=3, d=0, n_per_class=5, separation=1.0, spread=1.0, seed=0)
     with pytest.raises(ValueError):
         BlobSpec(c=3, d=2, n_per_class=5, separation=1.0, spread=-1.0, seed=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["separation", "spread"])
+def test_blob_spec_rejects_non_finite_scales(field, value):
+    spec = dict(c=3, d=2, n_per_class=5, separation=1.0, spread=1.0, seed=0)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BlobSpec(**{**spec, field: value})
 
 
 def test_make_blobs_shapes_and_clean_start():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -367,16 +368,25 @@ def float64_nearest(learner, X):
     return np.concatenate([np.argmax(b, axis=1) for _, b in learner._neg_sq_distances(X)])
 
 
+def float64_nearest_off_near_ties(learner, train_X, X):
+    """(the float64 kernel's nearest rows, whether each query's nearest two
+    squared distances lie more than 1e-12 of its error scale apart)."""
+    neg_d2 = np.vstack([b.copy() for _, b in learner._neg_sq_distances(X)])
+    two = -np.sort(-neg_d2, axis=1)[:, :2]
+    bound = (np.sqrt(np.sum(X**2, axis=1)) + np.sqrt(np.sum(train_X**2, axis=1)).max()) ** 2
+    clear = (two[:, 0] - two[:, -1] > 1e-12 * bound) | (len(train_X) == 1)
+    return np.argmax(neg_d2, axis=1), clear
+
+
 @pytest.fixture
 def reranked(monkeypatch):
     """Row counts that KnnLearner's float64 kernel is asked to rank, one per call."""
     calls = []
     kernel = KnnLearner._neg_sq_distances
 
-    def spy(self, X, right=None):
-        if right is None:
-            calls.append(len(X))
-        return kernel(self, X, right)
+    def spy(self, X):
+        calls.append(len(X))
+        return kernel(self, X)
 
     monkeypatch.setattr(KnnLearner, "_neg_sq_distances", spy)
     return calls
@@ -406,12 +416,8 @@ def test_knn_screened_nearest_rows_match_the_float64_kernel_off_near_ties(
         (train_X[pairs[:, 0]] + train_X[pairs[:, 1]]) / 2,
     ])
     learner = index_learner(train_X)
-    neg_d2 = np.vstack([b.copy() for _, b in learner._neg_sq_distances(X)])
-    two = -np.sort(-neg_d2, axis=1)[:, :2]
-    bound = (np.sqrt(np.sum(X**2, axis=1)) + np.sqrt(np.sum(train_X**2, axis=1)).max()) ** 2
-    clear = (two[:, 0] - two[:, -1] > 1e-12 * bound) | (n == 1)
-    nearest = learner._nearest(X)
-    assert np.array_equal(nearest[clear], np.argmax(neg_d2, axis=1)[clear])
+    expected, clear = float64_nearest_off_near_ties(learner, train_X, X)
+    assert np.array_equal(learner._nearest(X)[clear], expected[clear])
 
 
 def test_knn_screen_reranks_a_lone_ambiguous_row(reranked):
@@ -471,12 +477,18 @@ def test_knn_zero_queries_give_zero_rows(k):
 
 
 def test_knn_screen_reranks_under_one_percent_at_simulate_shape(reranked):
-    # the 1-NN simulate split: 20k training rows of 10-d blobs, queries from the other half
-    D = make_blobs(BlobSpec(c=10, d=10, n_per_class=4_000, separation=6.0, spread=1.0, seed=5))
-    train, test = split_per_class(D, 2_000)
-    X = test.features[::4]
-    KnnLearner(k=1).train(train)._nearest(X)
-    assert sum(reranked) < 0.01 * len(X)
+    # the 1-NN simulate split: 20k training rows of 10-d blobs, queries from the
+    # other half; at separation 3.5 the screen computes about 70% of the pairs
+    for separation in (6.0, 3.5):
+        spec = BlobSpec(c=10, d=10, n_per_class=4_000, separation=separation, spread=1.0, seed=5)
+        train, test = split_per_class(make_blobs(spec), 2_000)
+        X = test.features[::4]
+        learner = KnnLearner(k=1).train(train)
+        reranked.clear()
+        nearest = learner._nearest(X)
+        assert sum(reranked) < 0.01 * len(X)
+        expected, clear = float64_nearest_off_near_ties(learner, train.features, X)
+        assert np.array_equal(nearest[clear], expected[clear])
 
 
 @pytest.mark.parametrize("k, n, cells", [(1, 50, True), (3, 50, False), (3, 1, True)])
@@ -530,20 +542,13 @@ def test_knn_cell_screen_finds_the_full_screens_nearest_rows_off_near_ties(
         train_X[rng.integers(0, n, n // 2)] = train_X[rng.integers(0, n, n // 2)]
     X = np.vstack([rows(150) + offset, train_X[rng.integers(0, n, 50)]])
     learner = index_learner(train_X)
-    neg_d2 = np.vstack([b.copy() for _, b in learner._neg_sq_distances(X)])
-    two = -np.sort(-neg_d2, axis=1)[:, :2]
-    bound = (np.sqrt(np.sum(X**2, axis=1)) + np.sqrt(np.sum(train_X**2, axis=1)).max()) ** 2
-    clear = (two[:, 0] - two[:, -1] > 1e-12 * bound) | (n == 1)
+    expected, clear = float64_nearest_off_near_ties(learner, train_X, X)
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes is not None:
             # blocks of a few rows: every query block, cell and product splits
             mp.setattr(learners, "KNN_BLOCK_BYTES", block_bytes)
-        mp.setattr(learners, "KNN_CELL_FALLBACK", np.inf)  # cells for every block
         cells = learner._nearest(X)
-        mp.setattr(learners, "KNN_CELL_FALLBACK", 0.0)  # the full screen for every block
-        full = learner._nearest(X)
-    assert np.array_equal(cells[clear], full[clear])
-    assert np.array_equal(cells[clear], np.argmax(neg_d2, axis=1)[clear])
+    assert np.array_equal(cells[clear], expected[clear])
 
 
 def test_knn_peak_memory_is_bounded_by_the_block_size():
@@ -576,6 +581,12 @@ def softmax_cfg(**kw):
 def test_train_config_validation(bad):
     with pytest.raises(ValueError):
         softmax_cfg(**bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_train_config_rejects_a_non_finite_learning_rate(value):
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        softmax_cfg(learning_rate=value)
 
 
 def test_softmax_constructor_validation():

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -126,6 +127,9 @@ def test_input_validation():
         incv(D, stub_factory(2), iterations=0)
     with pytest.raises(ValueError, match="remove_ratio"):
         incv(D, stub_factory(2), iterations=1, remove_ratio=-0.1)
+    for ratio in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="remove_ratio must be finite"):
+            incv(D, stub_factory(2), iterations=1, remove_ratio=ratio)
     single = hand_dataset(pred_labels=[0], observed=[0], c=2)
     with pytest.raises(ValueError, match="at least 2"):
         incv(single, stub_factory(2), iterations=1)
