@@ -168,8 +168,8 @@ def cmd_corrupt(args) -> int:
 
 def cmd_theory(args) -> int:
     grid = parse_grid(args.grid)
-    out = _out_dir(args)
     points = theory_curve(args.kind, args.classes, grid)
+    out = _out_dir(args)
     rows = [
         [args.kind, p.c, p.epsilon, p.accuracy, p.lp, p.lr, p.eps_s] for p in points
     ]
@@ -201,7 +201,7 @@ def _simulate_point(args, eps: float, index: int):
         pred = model.predict_labels(D.features, D.true_labels)
     else:
         train, D = data_mod.split_per_class(D, per_class)
-        model = KnnLearner(k=1).train(train)
+        model = KnnLearner().train(train)
         pred = model.predict_labels(D.features)
 
     agree = pred == D.observed_labels
@@ -234,11 +234,11 @@ def cmd_simulate(args) -> int:
     if threads < 1:
         raise UsageError(f"LABNOISE_THREADS must be an integer >= 1, got {env!r}")
     threads = min(threads, max(1, len(grid)))
-    out = _out_dir(args)
     # pool.map yields results in grid order whatever the thread count
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda ie: _simulate_point(args, ie[1], ie[0]), enumerate(grid)))
 
+    out = _out_dir(args)
     rows = [r for r, _ in results]
     _write_table(
         out, "simulate", args.format, SIMULATE_CSV_HEADER,
@@ -272,7 +272,7 @@ def _learner_factory(args, D):
             )
         return oracle_factory(matrix_from_spec(D.noise, D.c))
     if args.learner == "knn":
-        return knn_factory(args.k)
+        return knn_factory()
     cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -451,13 +451,13 @@ def _run_summary(run: Path) -> dict:
 
 
 def cmd_report(args) -> int:
-    out = _out_dir(args)
     rows = []
     for run in args.runs:
         run_path = Path(run)
         if not run_path.is_dir():
             raise UsageError(f"run directory not found: {run}")
         rows.append({"run": run_path.name, **_run_summary(run_path)})
+    out = _out_dir(args)
     _write_table(
         out, "report", args.format, REPORT_CSV_HEADER,
         [[row[k] for k in REPORT_CSV_HEADER] for row in rows],
@@ -539,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch", type=int, default=32)
         p.add_argument("--lr", type=float, default=0.3)
         p.add_argument("--hidden", type=int, default=None)
-        p.add_argument("--k", type=int, default=1, help="neighbors for the knn learner")
         p.add_argument(
             "--noise-kind",
             choices=("symmetric", "asymmetric"),

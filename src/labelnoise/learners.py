@@ -6,9 +6,9 @@ Three kinds:
                    from row i of a transition matrix -- the idealized
                    behavior of a memorizing network that generalizes in
                    distribution. Needs true labels at prediction time.
-  KnnLearner       exact k-nearest-neighbor memorizer; the desk-scale
+  KnnLearner       exact 1-nearest-neighbor memorizer; the desk-scale
                    stand-in for a high-capacity network that fits its
-                   training labels exactly.
+                   training labels exactly, as the accuracy law assumes.
   SoftmaxLearner   multinomial logistic regression, optionally with one
                    ReLU hidden layer, trained by mini-batch SGD on
                    cross-entropy; fully deterministic given its seed.
@@ -33,6 +33,7 @@ from .data import LabeledDataset
 from .noise import TransitionMatrix
 
 LOSS_CLAMP = 1e-12
+INIT_SCALE = 0.1  # standard deviation of SoftmaxLearner's initial parameters
 DIVERGENCE_LIMIT = 1e6
 KNN_BLOCK_BYTES = 1 << 22  # k-NN distance block: 4 MiB of float64, cache-sized
 KNN_SCREEN_LIMIT = 1e30  # largest centered (|q| + max |t|)^2 the float32 1-NN screen takes
@@ -52,7 +53,6 @@ class TrainConfig:
     batch_size: int
     learning_rate: float
     seed: int = 0
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -168,7 +168,7 @@ class OracleLearner(Learner):
 
 
 # --------------------------------------------------------------------------
-# k-nearest-neighbor memorizer
+# 1-nearest-neighbor memorizer
 
 
 def _carve(buf: np.ndarray, *specs) -> list[np.ndarray]:
@@ -216,19 +216,15 @@ class _Screened:
 
 
 class KnnLearner(Learner):
-    """Exact k-NN with Euclidean distance and majority vote.
+    """Exact 1-NN with Euclidean distance: it memorizes its training labels.
 
-    Vote fractions are Laplace-smoothed, (count + 1) / (k + c), so the
-    cross-entropy loss of any sample stays finite. For k = 1 a float32
-    screen over pivot cells of the training rows decides most queries
-    (_screen); a float64 kernel over every training row ranks the rest, and
-    every query for k > 1.
+    The nearest row's one-hot is Laplace-smoothed, (count + 1) / (1 + c), so
+    the cross-entropy loss of any sample stays finite. A float32 screen over
+    pivot cells of the training rows decides most queries (_screen); a
+    float64 kernel over every training row ranks the rest.
     """
 
-    def __init__(self, k: int = 1):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
+    def __init__(self):
         self.c = 0
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
@@ -258,8 +254,6 @@ class KnnLearner(Learner):
         self._right = right
         self._T = math.sqrt(right[-2].max())
         self._right32 = None
-        if min(self.k, D.n) > 1:  # only k = 1 reads the screen's state
-            return self
         # the 1-NN screen in _screen runs on features centered by the training
         # mean, so its float32 error follows the spread of the data, not its offset
         with np.errstate(invalid="ignore", over="ignore"):
@@ -326,26 +320,9 @@ class KnnLearner(Learner):
         if self._X is None:
             raise RuntimeError("learner has not been trained")
         X = _feature_matrix(features, self._X.shape[1])
-        k = min(self.k, len(self._y))
         counts = np.zeros((X.shape[0], self.c))
-        if k == 1:
-            counts[np.arange(len(X)), self._y[self._nearest(X)]] = 1.0
-            return (counts + 1.0) / (k + self.c)
-        for start, neg_d2 in self._neg_sq_distances(X):
-            m = len(neg_d2)
-            d2 = np.negative(neg_d2, out=neg_d2)
-            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            # argpartition picks among rows tied at the k-th distance in no
-            # fixed order; take the lowest of them, as k == 1 does
-            kth = d2[np.arange(m), nearest[:, -1]][:, None]
-            for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k):
-                below = np.flatnonzero(d2[r] < kth[r])
-                tied = np.flatnonzero(d2[r] == kth[r])
-                nearest[r] = np.concatenate([below, tied[: k - len(below)]])
-            votes = self._y[nearest]
-            for j in range(self.c):
-                counts[start : start + m, j] = np.sum(votes == j, axis=1)
-        return (counts + 1.0) / (k + self.c)
+        counts[np.arange(len(X)), self._y[self._nearest(X)]] = 1.0
+        return (counts + 1.0) / (1 + self.c)
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:
         """Index of each query's nearest training row; ties go to the lowest.
@@ -690,7 +667,7 @@ class SoftmaxLearner(Learner):
         self._bind(np.empty(sum(math.prod(s) for s in shapes.values())))
         rng = np.random.default_rng(cfg.seed)
         for name, shape in shapes.items():
-            self.params[name][...] = cfg.init_scale * rng.standard_normal(shape)
+            self.params[name][...] = INIT_SCALE * rng.standard_normal(shape)
 
     def _bind(self, flat: np.ndarray) -> None:
         """Make flat the parameter vector, with params and a fresh gradient
@@ -839,8 +816,8 @@ def oracle_factory(T: TransitionMatrix) -> LearnerFactory:
     return lambda seed: OracleLearner(T, seed)
 
 
-def knn_factory(k: int = 1) -> LearnerFactory:
-    return lambda seed: KnnLearner(k)
+def knn_factory() -> LearnerFactory:
+    return lambda seed: KnnLearner()
 
 
 def softmax_factory(

@@ -110,7 +110,7 @@ def test_memorizing_knn_confusion_approaches_transition_matrix():
         noisy = corrupt_dataset(make_blobs(blob), spec)
         train, test = split_per_class(noisy, per_class // 2)
         assert train.n == test.n == 10_000
-        model = KnnLearner(k=1).train(train)
+        model = KnnLearner().train(train)
         pred = model.predict_labels(test.features)
 
         T = symmetric_matrix(c, eps)

@@ -2,10 +2,12 @@ import csv
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +165,17 @@ def test_usage_error_exits_2(tmp_path, capsys):
                "--out", tmp_path / "o")
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--separation", "nan", "--samples", 40, "--grid", 0.2], 1),
+    (["report", "--runs", "nowhere"], 2),
+    (["theory", "--kind", "symmetric", "--classes", 1, "--grid", 0.2], 1),
+], ids=["simulate", "report", "theory"])
+def test_a_failed_command_leaves_no_out_directory(tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--out", tmp_path / "o") == code
+    assert not (tmp_path / "o").exists()
 
 
 def test_runtime_error_exits_1(tmp_path, capsys):
@@ -485,10 +498,19 @@ def test_non_finite_numeric_options_exit_1_naming_the_field(tmp_path, capsys, ar
     assert f"error: {field} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ncv", "incv"])
+def test_selection_has_no_k_option(tmp_path, capsys, command):
+    # the knn learner is 1-NN only
+    with pytest.raises(SystemExit) as excinfo:
+        run(command, "--in", tmp_path, "--learner", "knn", "--k", 1, "--out", tmp_path / "o")
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --k 1" in capsys.readouterr().err
+
+
 def test_selection_with_knn_learner(tmp_path):
     src = make_input(tmp_path, ratio=0.2)
     out = tmp_path / "sel"
-    assert run("ncv", "--in", src, "--learner", "knn", "--k", 1, "--out", out) == 0
+    assert run("ncv", "--in", src, "--learner", "knn", "--out", out) == 0
     assert (out / "selection.json").is_file()
 
 
@@ -897,6 +919,19 @@ def test_simulate_empty_grid(tmp_path, capsys):
                "--out", out) == 0
     assert len(read_csv(out / "simulate.csv")) == 1
     assert "empty grid" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# README commands
+
+
+def test_every_readme_command_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.replace("\\\n", " ").splitlines()
+    commands = [line[len("$ labelnoise "):] for line in lines if line.startswith("$ labelnoise ")]
+    assert len(commands) == 6
+    for command in commands:
+        build_parser().parse_args(shlex.split(command))
 
 
 # ---------------------------------------------------------------------------

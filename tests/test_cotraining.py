@@ -419,7 +419,7 @@ def test_empty_selected_set_rejected():
 
 def test_non_gradient_learner_rejected():
     with pytest.raises(TypeError, match="gradient"):
-        cotrain(blob_set(2), None, cotrain_cfg(), knn_factory(1))
+        cotrain(blob_set(2), None, cotrain_cfg(), knn_factory())
 
 
 def test_learners_of_two_arches_rejected():

@@ -220,11 +220,6 @@ def knn_trainset(features, labels, c):
     )
 
 
-def test_knn_requires_positive_k():
-    with pytest.raises(ValueError, match="k must be"):
-        KnnLearner(k=0)
-
-
 def test_knn_untrained_prediction_rejected():
     with pytest.raises(RuntimeError, match="not been trained"):
         KnnLearner().predict_proba(np.zeros((1, 2)))
@@ -241,39 +236,16 @@ def test_knn_memorizes_training_labels():
         make_blobs(BlobSpec(c=3, d=4, n_per_class=40, separation=6.0, spread=1.0, seed=1)),
         NoiseSpec(kind="symmetric", ratio=0.4, seed=2),
     )
-    learner = KnnLearner(k=1).train(D)
+    learner = KnnLearner().train(D)
     assert np.array_equal(learner.predict_labels(D.features), D.observed_labels)
 
 
 def test_knn_hand_votes_k1():
     D = knn_trainset([[0.0], [1.0], [10.0]], [0, 1, 2], c=3)
-    learner = KnnLearner(k=1).train(D)
+    learner = KnnLearner().train(D)
     probs = learner.predict_proba([[0.1]])
     np.testing.assert_allclose(probs[0], [0.5, 0.25, 0.25])
     assert learner.predict_labels([[0.1]])[0] == 0
-
-
-def test_knn_hand_votes_k2():
-    D = knn_trainset([[0.0], [0.2], [10.0]], [1, 1, 2], c=3)
-    learner = KnnLearner(k=2).train(D)
-    probs = learner.predict_proba([[0.1]])
-    np.testing.assert_allclose(probs[0], [0.2, 0.6, 0.2])
-    assert learner.predict_labels([[0.1]])[0] == 1
-
-
-def test_knn_vote_tie_breaks_toward_lowest_class():
-    D = knn_trainset([[0.0], [1.0]], [1, 0], c=2)
-    learner = KnnLearner(k=2).train(D)
-    probs = learner.predict_proba([[0.5]])
-    np.testing.assert_allclose(probs[0], [0.5, 0.5])
-    assert learner.predict_labels([[0.5]])[0] == 0
-
-
-def test_knn_k_capped_at_trainset_size():
-    D = knn_trainset([[0.0], [1.0]], [1, 1], c=2)
-    probs = KnnLearner(k=10).train(D).predict_proba([[0.4]])
-    # effective k=2: counts (0, 2) smoothed by (k + c) = 4
-    np.testing.assert_allclose(probs[0], [0.25, 0.75])
 
 
 def naive_knn_probs(train_X, train_y, X, k, c):
@@ -286,12 +258,8 @@ def naive_knn_probs(train_X, train_y, X, k, c):
     return probs
 
 
-@pytest.mark.parametrize(
-    "k, block_bytes",
-    [(1, None), (3, None), (7, None), (1, 8 * 60 * 7), (3, 8 * 60 * 7), (7, 8 * 60 * 7)],
-    ids=["1", "3", "7", "1-blocks7", "3-blocks7", "7-blocks7"],
-)
-def test_knn_matches_naive_reference(k, block_bytes, monkeypatch):
+@pytest.mark.parametrize("block_bytes", [None, 8 * 60 * 7], ids=["1", "1-blocks7"])
+def test_knn_matches_naive_reference(block_bytes, monkeypatch):
     if block_bytes is not None:
         # 7-row blocks over 60 training rows: the 25 queries run as 7, 7, 7, 4
         monkeypatch.setattr(learners, "KNN_BLOCK_BYTES", block_bytes)
@@ -299,10 +267,8 @@ def test_knn_matches_naive_reference(k, block_bytes, monkeypatch):
     train_X = rng.standard_normal((60, 3))
     train_y = rng.integers(0, 4, size=60)
     X = rng.standard_normal((25, 3))
-    learner = KnnLearner(k=k).train(knn_trainset(train_X, train_y, c=4))
-    np.testing.assert_allclose(
-        learner.predict_proba(X), naive_knn_probs(train_X, train_y, X, k, 4)
-    )
+    learner = KnnLearner().train(knn_trainset(train_X, train_y, c=4))
+    np.testing.assert_allclose(learner.predict_proba(X), naive_knn_probs(train_X, train_y, X, 1, 4))
 
 
 def test_knn_rejects_queries_of_the_wrong_width():
@@ -319,10 +285,10 @@ def three_step_sq_distances(train_X, X):
     return d2
 
 
-def index_learner(train_X, k=1):
-    """A k-NN learner whose class labels are its training row indices."""
+def index_learner(train_X):
+    """A 1-NN learner whose class labels are its training row indices."""
     n = len(train_X)
-    return KnnLearner(k=k).train(knn_trainset(train_X, np.arange(n), c=n))
+    return KnnLearner().train(knn_trainset(train_X, np.arange(n), c=n))
 
 
 def test_knn_nearest_rows_match_the_three_step_reference_off_near_ties():
@@ -338,14 +304,14 @@ def test_knn_nearest_rows_match_the_three_step_reference_off_near_ties():
     assert np.array_equal(nearest[clear], np.argmin(ref, axis=1)[clear])
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1])
 def test_knn_duplicated_training_rows_resolve_to_the_lowest_index(k):
     # 40 rows over 5 integer points: every distance is exact, so ties are real
     rng = np.random.default_rng(8)
     points = rng.integers(-3, 4, size=(5, 2)).astype(np.float64)
     train_X = points[rng.integers(0, 5, size=40)]
     X = np.vstack([points, rng.integers(-4, 5, size=(30, 2)).astype(np.float64)])
-    probs = index_learner(train_X, k).predict_proba(X)
+    probs = index_learner(train_X).predict_proba(X)
     for q, row in zip(X, probs):
         d2 = np.sum((train_X - q) ** 2, axis=1)
         expected = np.sort(np.argsort(d2, kind="stable")[:k])
@@ -470,9 +436,9 @@ def test_knn_screen_falls_back_to_float64_on_non_finite_or_huge_features(where, 
     assert np.array_equal(nearest, float64_nearest(learner, X))
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1])
 def test_knn_zero_queries_give_zero_rows(k):
-    learner = KnnLearner(k=k).train(knn_trainset(np.eye(4), [0, 1, 2, 0], c=3))
+    learner = KnnLearner().train(knn_trainset(np.eye(4), [0, 1, 2, 0], c=3))
     assert learner.predict_proba(np.empty((0, 4))).shape == (0, 3)
 
 
@@ -483,7 +449,7 @@ def test_knn_screen_reranks_under_one_percent_at_simulate_shape(reranked):
         spec = BlobSpec(c=10, d=10, n_per_class=4_000, separation=separation, spread=1.0, seed=5)
         train, test = split_per_class(make_blobs(spec), 2_000)
         X = test.features[::4]
-        learner = KnnLearner(k=1).train(train)
+        learner = KnnLearner().train(train)
         reranked.clear()
         nearest = learner._nearest(X)
         assert sum(reranked) < 0.01 * len(X)
@@ -491,18 +457,10 @@ def test_knn_screen_reranks_under_one_percent_at_simulate_shape(reranked):
         assert np.array_equal(nearest[clear], expected[clear])
 
 
-@pytest.mark.parametrize("k, n, cells", [(1, 50, True), (3, 50, False), (3, 1, True)])
-def test_knn_builds_the_screen_only_where_k_is_one(k, n, cells):
-    # a lone training row makes any k a 1-NN search
-    learner = index_learner(np.random.default_rng(9).standard_normal((n, 3)), k)
-    assert (learner._right32 is not None) == cells
-    assert (learner._order is not None) == cells
-
-
 def test_knn_cell_screen_reaches_under_a_quarter_of_the_pairs_at_simulate_shape(monkeypatch):
     D = make_blobs(BlobSpec(c=10, d=10, n_per_class=4_000, separation=6.0, spread=1.0, seed=5))
     train, test = split_per_class(D, 2_000)
-    learner = KnnLearner(k=1).train(train)
+    learner = KnnLearner().train(train)
     pairs = []
     screen_cell = KnnLearner._screen_cell
 
@@ -555,7 +513,7 @@ def test_knn_peak_memory_is_bounded_by_the_block_size():
     rng = np.random.default_rng(5)
     train_X = rng.standard_normal((20_000, 10))
     train_y = rng.integers(0, 4, size=20_000)
-    learner = KnnLearner(k=1).train(knn_trainset(train_X, train_y, c=4))
+    learner = KnnLearner().train(knn_trainset(train_X, train_y, c=4))
     X = rng.standard_normal((2_000, 10))
     tracemalloc.start()
     try:
@@ -603,7 +561,8 @@ def test_softmax_dimension_mismatch_rejected():
 
 
 def test_softmax_zero_init_gives_uniform_probabilities():
-    learner = SoftmaxLearner(5, 3, softmax_cfg(init_scale=0.0))
+    learner = SoftmaxLearner(5, 3, softmax_cfg())
+    learner.set_flat_params(np.zeros_like(learner.flat_params()))
     probs = learner.predict_proba(random_features(10, 3))
     np.testing.assert_array_equal(probs, np.full((10, 5), 0.2))
 
@@ -636,7 +595,8 @@ def test_softmax_divergence_guard(tiny_blobs):
 
 
 def test_softmax_step_rejects_over_limit_loss():
-    learner = SoftmaxLearner(2, 2, softmax_cfg(init_scale=0.0))
+    learner = SoftmaxLearner(2, 2, softmax_cfg())
+    learner.set_flat_params(np.zeros_like(learner.flat_params()))
     learner.params["b"] = np.array([0.0, 2 * DIVERGENCE_LIMIT])
     with pytest.raises(DivergenceError):
         learner.sgd_step(np.zeros((1, 2)), np.array([0]), lr=0.1)
@@ -762,7 +722,9 @@ def test_labels_must_fit_the_batch():
 
 
 def test_pair_divergence_names_the_member_and_updates_neither():
-    f1, f2 = lone_pair(2, 2, None, init_scale=0.0)
+    f1, f2 = lone_pair(2, 2, None)
+    for f in (f1, f2):
+        f.set_flat_params(np.zeros_like(f.flat_params()))
     pair = SoftmaxLearner.pair(f1, f2)
     f2.params["b"][:] = [0.0, 2 * DIVERGENCE_LIMIT]
     before = [f.flat_params() for f in (f1, f2)]
@@ -896,8 +858,8 @@ def test_oracle_factory_threads_seed():
 
 
 def test_knn_factory_ignores_seed(tiny_blobs):
-    a = knn_factory(k=1)(0).train(tiny_blobs)
-    b = knn_factory(k=1)(99).train(tiny_blobs)
+    a = knn_factory()(0).train(tiny_blobs)
+    b = knn_factory()(99).train(tiny_blobs)
     X = random_features(10, 3, seed=15)
     assert np.array_equal(a.predict_labels(X), b.predict_labels(X))
 
@@ -917,7 +879,7 @@ def test_knn_screen_reranks_under_one_percent_on_offset_features(offset, reranke
     train, test = split_per_class(D, 2_000)
     train = knn_trainset(train.features + offset, train.observed_labels, train.c)
     X = test.features[::4] + offset
-    learner = KnnLearner(k=1).train(train)
+    learner = KnnLearner().train(train)
     nearest = learner._nearest(X)
     assert sum(reranked) < 0.01 * len(X)
     assert np.array_equal(nearest, float64_nearest(learner, X))

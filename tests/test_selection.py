@@ -205,7 +205,7 @@ def test_partition_invariant_across_iterations(learner):
     D, oracle = oracle_selection_case(n_per_class=800 if learner == "oracle" else 200)
     factory = {
         "oracle": oracle,
-        "knn": knn_factory(1),
+        "knn": knn_factory(),
         "softmax": softmax_factory(
             D.c, D.d, TrainConfig(epochs=2, batch_size=32, learning_rate=0.3)
         ),
