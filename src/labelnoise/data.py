@@ -208,7 +208,12 @@ def make_blobs(spec: BlobSpec) -> LabeledDataset:
     means = spec.separation * directions / norms
     n = spec.c * spec.n_per_class
     true_labels = np.repeat(np.arange(spec.c, dtype=np.int64), spec.n_per_class)
-    features = means[true_labels] + spec.spread * rng.standard_normal((n, spec.d))
+    # means[true_labels] + spread * z with no (n, d) array but z: class i's
+    # rows are the i-th block of n_per_class, and float addition commutes
+    features = rng.standard_normal((n, spec.d))
+    features *= spec.spread
+    blocks = features.reshape(spec.c, spec.n_per_class, spec.d)  # a view
+    blocks += means[:, None, :]
     return LabeledDataset(
         features=features,
         observed_labels=true_labels.copy(),

@@ -64,7 +64,13 @@ class TrainConfig:
 
 
 class Learner:
-    """Uniform interface: train, predict, per-sample loss."""
+    """Uniform interface: train, predict, per-sample loss.
+
+    predict_labels(x) is argmax(predict_proba(x), axis=-1), ties going to
+    the first class. The oracle and the 1-NN memoriser find the label first
+    and build their probabilities from it, so a caller that needs only
+    labels makes no (n, c) matrix.
+    """
 
     c: int
 
@@ -149,7 +155,8 @@ class OracleLearner(Learner):
     def train(self, D: LabeledDataset) -> "OracleLearner":
         return self
 
-    def predict_proba(self, features, true_labels=None) -> np.ndarray:
+    def _draw(self, features, true_labels) -> tuple[np.ndarray, np.ndarray]:
+        """(true label, drawn label) of each row."""
         if true_labels is None:
             raise MissingTrueLabelsError("oracle prediction needs true labels")
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -161,7 +168,13 @@ class OracleLearner(Learner):
         for i in range(self.c):
             mask = true == i
             drawn[mask] = np.searchsorted(self._cdf[i], u[mask], side="right")
-        drawn = np.clip(drawn, 0, self.c - 1)
+        return true, np.clip(drawn, 0, self.c - 1, out=drawn)
+
+    def predict_labels(self, features, true_labels=None) -> np.ndarray:
+        return self._draw(features, true_labels)[1]
+
+    def predict_proba(self, features, true_labels=None) -> np.ndarray:
+        true, drawn = self._draw(features, true_labels)
         probs = 0.5 * self.T.entries[true]
         probs[np.arange(len(true)), drawn] += 0.5
         return probs
@@ -316,12 +329,15 @@ class KnnLearner(Learner):
         self._pivot32 = right32.take(at[kept], axis=1)
         np.take(right32, self._order, axis=1, out=self._right32, mode="clip")
 
-    def predict_proba(self, features, true_labels=None) -> np.ndarray:
+    def predict_labels(self, features, true_labels=None) -> np.ndarray:
         if self._X is None:
             raise RuntimeError("learner has not been trained")
-        X = _feature_matrix(features, self._X.shape[1])
-        counts = np.zeros((X.shape[0], self.c))
-        counts[np.arange(len(X)), self._y[self._nearest(X)]] = 1.0
+        return self._y[self._nearest(_feature_matrix(features, self._X.shape[1]))]
+
+    def predict_proba(self, features, true_labels=None) -> np.ndarray:
+        labels = self.predict_labels(features)
+        counts = np.zeros((len(labels), self.c))
+        counts[np.arange(len(labels)), labels] = 1.0
         return (counts + 1.0) / (1 + self.c)
 
     def _nearest(self, X: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from labelnoise.cli import (
     REPORT_CSV_HEADER,
     SIMULATE_CSV_HEADER,
     UsageError,
+    _simulate_point,
     build_parser,
     cmd_simulate,
     main,
@@ -904,6 +906,26 @@ def test_simulate_builds_the_matrix_once_per_point(tmp_path, learner):
         assert cmd_simulate(args) == 0
     built = [w for w in caught if str(w.message).startswith("symmetric ratio 0.75 >= (c-1)/c")]
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("samples", [20_000, 100_000])
+def test_simulate_oracle_point_peaks_under_twice_its_feature_matrix(tmp_path, samples):
+    # make_blobs scales and shifts its normals in place, and the oracle hands
+    # back its drawn labels without an (n, c) matrix, so beside the (n, d)
+    # features a grid point holds only vectors of n
+    args = build_parser().parse_args(
+        ["simulate", "--learner", "oracle", "--samples", str(samples), "--grid", "0.3",
+         "--out", str(tmp_path / "sim")]
+    )
+    feature_bytes = samples // args.classes * args.classes * args.dims * 8
+    _simulate_point(args, 0.3, 0)  # a first call imports modules lazily
+    tracemalloc.start()
+    try:
+        _simulate_point(args, 0.3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * feature_bytes, peak / feature_bytes
 
 
 def test_simulate_knn_runs(tmp_path):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelnoise import data as data_mod
@@ -87,6 +87,40 @@ def test_make_blobs_concentration_around_means():
 def test_make_blobs_reproducible():
     assert np.array_equal(blob(seed=9).features, blob(seed=9).features)
     assert not np.array_equal(blob(seed=9).features, blob(seed=10).features)
+
+
+def reference_blob_features(spec):
+    """make_blobs' features as the textbook formula writes them:
+    means[true_labels] + spread * z, two (n, d) temporaries and all."""
+    rng = np.random.default_rng(spec.seed)
+    directions = rng.standard_normal((spec.c, spec.d))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    means = spec.separation * directions / norms
+    true_labels = np.repeat(np.arange(spec.c, dtype=np.int64), spec.n_per_class)
+    z = rng.standard_normal((spec.c * spec.n_per_class, spec.d))
+    return means[true_labels] + spec.spread * z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.integers(2, 6),
+    d=st.integers(1, 5),
+    npc=st.integers(1, 6),
+    sep=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+    spread=st.floats(1e-300, 1e6),
+    seed=st.integers(0, 2**32),
+)
+@example(c=2, d=1, npc=1, sep=0.0, spread=1.0, seed=0)
+@example(c=2, d=1, npc=1, sep=3.5, spread=0.37, seed=1)
+@example(c=2, d=1, npc=1, sep=0.0, spread=2.5, seed=2)
+def test_make_blobs_matches_the_reference_formula_bit_for_bit(c, d, npc, sep, spread, seed):
+    spec = BlobSpec(c=c, d=d, n_per_class=npc, separation=sep, spread=spread, seed=seed)
+    D = make_blobs(spec)
+    expected = reference_blob_features(spec)
+    assert D.features.dtype == expected.dtype and D.features.shape == expected.shape
+    assert D.features.tobytes() == expected.tobytes()
+    assert np.array_equal(D.true_labels, np.repeat(np.arange(c), npc))
 
 
 def test_dataset_validation_catches_duplicate_ids():

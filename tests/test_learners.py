@@ -525,6 +525,128 @@ def test_knn_peak_memory_is_bounded_by_the_block_size():
 
 
 # ---------------------------------------------------------------------------
+# label-first contract: predict_labels(x) is argmax(predict_proba(x))
+
+
+def reference_oracle_proba(T, u, true):
+    """The oracle's probabilities written out in full from its uniforms u:
+    half the transition row of each true label plus half a one-hot at the
+    label that u draws by inverse CDF."""
+    cdf = T.row_cdf()
+    drawn = np.empty(len(true), dtype=np.int64)
+    for i in range(T.c):
+        mask = true == i
+        drawn[mask] = np.searchsorted(cdf[i], u[mask], side="right")
+    drawn = np.clip(drawn, 0, T.c - 1)
+    probs = 0.5 * T.entries[true]
+    probs[np.arange(len(true)), drawn] += 0.5
+    return probs
+
+
+def reference_knn_proba(train_labels, nearest, c):
+    """The 1-NN probabilities written out in full: the nearest row's one-hot,
+    Laplace-smoothed."""
+    counts = np.zeros((len(nearest), c))
+    counts[np.arange(len(nearest)), train_labels[nearest]] = 1.0
+    return (counts + 1.0) / (1 + c)
+
+
+@st.composite
+def transition_rows(draw, c):
+    """A row-stochastic row: random, one-hot, or random with its largest
+    entry shaved until the cumulative sum ends below 1.0 (its last entry
+    zero or not), so a uniform at or above that sum draws past the row."""
+    kind = draw(st.sampled_from(["random", "one-hot", "short", "short, zero tail"]))
+    if kind == "one-hot":
+        row = np.zeros(c)
+        row[draw(st.integers(0, c - 1))] = 1.0
+        return row
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=c, max_size=c)))
+    if kind == "short, zero tail":
+        w[-1] = 0.0
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    row = w / w.sum()
+    if kind.startswith("short"):
+        k = int(np.argmax(row))
+        while np.cumsum(row)[-1] >= 1.0:
+            row[k] = np.nextafter(row[k], 0.0)
+    return row
+
+
+@st.composite
+def oracle_draws(draw):
+    """(T, true labels, uniforms): the uniforms include 0, the largest
+    uniform below 1 and the row's own cumulative sums."""
+    c = draw(st.integers(2, 6))
+    T = TransitionMatrix(c=c, entries=np.array([draw(transition_rows(c)) for _ in range(c)]))
+    cdf = T.row_cdf()
+    n = draw(st.integers(1, 30))
+    true = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    u = np.empty(n)
+    for r in range(n):
+        u[r] = draw(st.one_of(
+            st.sampled_from([0.0, 1.0 - 2.0**-53]),
+            st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
+            st.integers(0, c - 1).map(lambda j, i=true[r]: min(cdf[i, j], 1.0 - 2.0**-53)),
+        ))
+    return T, true, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_draws())
+def test_oracle_labels_are_the_argmax_of_its_probabilities(case):
+    T, true, u = case
+    X = random_features(len(true), 2)
+    learner = OracleLearner(T, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learners, "_row_uniforms", lambda features, seed: u)
+        labels = learner.predict_labels(X, true)
+        probs = learner.predict_proba(X, true)
+    assert np.array_equal(labels, np.argmax(probs, axis=-1))
+    assert probs.tobytes() == reference_oracle_proba(T, u, true).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.integers(2, 5),
+    d=st.integers(1, 4),
+    npc=st.integers(1, 20),
+    step=st.sampled_from([0.5, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_knn_labels_are_the_argmax_of_its_probabilities(c, d, npc, step, seed):
+    # blob rows rounded to a coarse grid repeat, and noisy labels make the
+    # repeats disagree; midpoints of two rows are exactly as near to both
+    D = make_blobs(BlobSpec(c=c, d=d, n_per_class=npc, separation=2.0, spread=1.0, seed=seed))
+    rng = np.random.default_rng(seed)
+    grid = np.round(D.features / step) * step
+    train_X = np.vstack([grid, grid[:3]])
+    train_y = rng.integers(0, c, size=len(train_X))
+    a, b = rng.integers(0, len(grid), size=(2, 10))
+    X = np.vstack([grid, (grid[a] + grid[b]) / 2, 2.0 * rng.standard_normal((10, d))])
+    learner = KnnLearner().train(knn_trainset(train_X, train_y, c))
+    labels = learner.predict_labels(X)
+    probs = learner.predict_proba(X)
+    assert np.array_equal(labels, np.argmax(probs, axis=-1))
+    assert probs.tobytes() == reference_knn_proba(train_y, learner._nearest(X), c).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    hidden=st.sampled_from([None, 5]),
+    scale=st.sampled_from([0.0, 1.0, 50.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_softmax_labels_are_the_argmax_of_its_probabilities(hidden, scale, seed):
+    # zero parameters give every class the same probability: a tie on every row
+    learner = SoftmaxLearner(4, 3, softmax_cfg(seed=seed % 1000), hidden)
+    learner.set_flat_params(scale * learner.flat_params())
+    X = np.vstack([random_features(30, 3, seed=seed), np.zeros((2, 3))])
+    assert np.array_equal(learner.predict_labels(X), np.argmax(learner.predict_proba(X), axis=-1))
+
+
+# ---------------------------------------------------------------------------
 # softmax learner
 
 
