@@ -797,10 +797,6 @@ class SoftmaxLearner(Learner):
         """A copy of the parameter vector; a pair's has one row per member."""
         return self._flat.copy()
 
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        """Overwrite the parameters in place, so a pairing stays intact."""
-        self._flat[...] = flat
-
 
 def train_pair(f1: SoftmaxLearner, f2: SoftmaxLearner, features, labels, rows) -> None:
     """Train f1 on rows[0] and f2 on rows[1] of (features, labels), as train() would.

@@ -62,6 +62,12 @@ def tiny_blobs() -> LabeledDataset:
     )
 
 
+def set_flat_params(learner, flat) -> None:
+    """Overwrite a softmax learner's parameter vector in place, so a
+    pairing that stacks it stays intact."""
+    learner._flat[...] = flat
+
+
 def fd_gradient(learner, X, y, h: float = 1e-5) -> np.ndarray:
     """Central finite-difference gradient of the mean batch loss."""
     base = learner.flat_params()
@@ -69,13 +75,13 @@ def fd_gradient(learner, X, y, h: float = 1e-5) -> np.ndarray:
     for i in range(len(base)):
         probe = base.copy()
         probe[i] = base[i] + h
-        learner.set_flat_params(probe)
+        set_flat_params(learner, probe)
         up = learner.loss_and_grad(X, y)[0]
         probe[i] = base[i] - h
-        learner.set_flat_params(probe)
+        set_flat_params(learner, probe)
         down = learner.loss_and_grad(X, y)[0]
         grad[i] = (up - down) / (2.0 * h)
-    learner.set_flat_params(base)
+    set_flat_params(learner, base)
     return grad
 
 

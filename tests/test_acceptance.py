@@ -8,6 +8,7 @@ naive training under heavy noise, and CLI determinism. Tolerances are
 fixed; the random seeds make every run reproducible.
 """
 
+import functools
 import json
 import time
 import warnings
@@ -18,6 +19,7 @@ import pytest
 
 from conftest import max_relative_gradient_error
 from labelnoise import data as data_mod
+from labelnoise import pipeline
 from labelnoise.cli import main
 from labelnoise.cotraining import CoTrainConfig, cotrain, resolve_eps_s
 from labelnoise.data import BlobSpec, LabeledDataset, corrupt_dataset, make_blobs, split_per_class
@@ -240,6 +242,7 @@ PIPELINE = dict(
 )
 
 
+@functools.cache  # the margin test and the package pipeline's check share the runs
 def robustness_experiment(seed):
     """Overlapping blobs, half the train labels resampled: naive softmax vs
     select-then-cotrain, both scored on the held-out clean split."""
@@ -303,6 +306,14 @@ def test_pipeline_beats_naive_training_under_heavy_noise():
         )
     # frozen from the baseline runs: the gap is large, not marginal
     assert min(margins) >= 0.10
+
+
+def test_package_pipeline_matches_the_reference_experiment():
+    params = pipeline.DESK
+    rows = pipeline.run_seeds(params, [(s, *pipeline.seed_data(params, s)) for s in range(1, 6)])
+    assert [row["seed"] for row in rows] == [1, 2, 3, 4, 5]
+    for row in rows:
+        assert (row["naive_acc"], row["pipeline_acc"]) == robustness_experiment(row["seed"])
 
 
 # ---------------------------------------------------------------------------

@@ -947,13 +947,34 @@ def test_simulate_empty_grid(tmp_path, capsys):
 # README commands
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_every_readme_command_parses():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = readme.replace("\\\n", " ").splitlines()
+    lines = README.read_text().replace("\\\n", " ").splitlines()
     commands = [line[len("$ labelnoise "):] for line in lines if line.startswith("$ labelnoise ")]
     assert len(commands) == 6
     for command in commands:
         build_parser().parse_args(shlex.split(command))
+
+
+def test_readme_walkthrough_prints_its_quoted_lines(tmp_path, monkeypatch, capsys):
+    readme = README.read_text()
+    lines = readme.replace("\\\n", " ").splitlines()
+    quoted = [(line[len("$ labelnoise "):], lines[i + 1])
+              for i, line in enumerate(lines) if line.startswith("$ labelnoise ")][:4]
+    assert [out for _, out in quoted] == [
+        "realized noise ratio: 0.495",
+        "selected 471 of 1000 samples; estimated noise ratio 0.39000000000000001",
+        "final clean-test accuracy: f1 0.76200000000000001 f2 0.76000000000000001",
+        "merged 2 runs into runs/summary",
+    ]
+    # the library snippet, then each command, from one working directory
+    monkeypatch.chdir(tmp_path)
+    exec(readme.split("```python\n")[1].split("```")[0], {})
+    for command, out in quoted:
+        assert main(shlex.split(command)) == 0
+        assert capsys.readouterr().out == out + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_relative_gradient_error
+from conftest import max_relative_gradient_error, set_flat_params
 from labelnoise import learners
 from labelnoise.data import (
     BlobSpec,
@@ -641,7 +641,7 @@ def test_knn_labels_are_the_argmax_of_its_probabilities(c, d, npc, step, seed):
 def test_softmax_labels_are_the_argmax_of_its_probabilities(hidden, scale, seed):
     # zero parameters give every class the same probability: a tie on every row
     learner = SoftmaxLearner(4, 3, softmax_cfg(seed=seed % 1000), hidden)
-    learner.set_flat_params(scale * learner.flat_params())
+    set_flat_params(learner, scale * learner.flat_params())
     X = np.vstack([random_features(30, 3, seed=seed), np.zeros((2, 3))])
     assert np.array_equal(learner.predict_labels(X), np.argmax(learner.predict_proba(X), axis=-1))
 
@@ -684,7 +684,7 @@ def test_softmax_dimension_mismatch_rejected():
 
 def test_softmax_zero_init_gives_uniform_probabilities():
     learner = SoftmaxLearner(5, 3, softmax_cfg())
-    learner.set_flat_params(np.zeros_like(learner.flat_params()))
+    set_flat_params(learner, np.zeros_like(learner.flat_params()))
     probs = learner.predict_proba(random_features(10, 3))
     np.testing.assert_array_equal(probs, np.full((10, 5), 0.2))
 
@@ -718,7 +718,7 @@ def test_softmax_divergence_guard(tiny_blobs):
 
 def test_softmax_step_rejects_over_limit_loss():
     learner = SoftmaxLearner(2, 2, softmax_cfg())
-    learner.set_flat_params(np.zeros_like(learner.flat_params()))
+    set_flat_params(learner, np.zeros_like(learner.flat_params()))
     learner.params["b"] = np.array([0.0, 2 * DIVERGENCE_LIMIT])
     with pytest.raises(DivergenceError):
         learner.sgd_step(np.zeros((1, 2)), np.array([0]), lr=0.1)
@@ -744,9 +744,9 @@ def test_softmax_gradients_match_finite_differences(hidden):
 def test_softmax_flat_params_round_trip():
     learner = SoftmaxLearner(3, 4, softmax_cfg(), hidden=5)
     flat = learner.flat_params()
-    learner.set_flat_params(np.zeros_like(flat))
+    set_flat_params(learner, np.zeros_like(flat))
     assert np.all(learner.flat_params() == 0.0)
-    learner.set_flat_params(flat)
+    set_flat_params(learner, flat)
     assert np.array_equal(learner.flat_params(), flat)
 
 
@@ -820,7 +820,7 @@ def test_paired_members_keep_working_on_their_own():
     assert np.array_equal(pair.predict_labels(X), np.argmax(probs, axis=-1))
     # a lone step and set_flat_params write through to the stacks
     f2.sgd_step(X, np.array([0, 1, 2, 0, 1, 2]), 0.5)
-    f1.set_flat_params(np.zeros_like(f1.flat_params()))
+    set_flat_params(f1, np.zeros_like(f1.flat_params()))
     probs = pair.predict_proba(X)
     np.testing.assert_array_equal(probs[0], np.full((6, 3), 1 / 3))
     assert np.array_equal(probs[1], f2.predict_proba(X))
@@ -846,7 +846,7 @@ def test_labels_must_fit_the_batch():
 def test_pair_divergence_names_the_member_and_updates_neither():
     f1, f2 = lone_pair(2, 2, None)
     for f in (f1, f2):
-        f.set_flat_params(np.zeros_like(f.flat_params()))
+        set_flat_params(f, np.zeros_like(f.flat_params()))
     pair = SoftmaxLearner.pair(f1, f2)
     f2.params["b"][:] = [0.0, 2 * DIVERGENCE_LIMIT]
     before = [f.flat_params() for f in (f1, f2)]
