@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -53,18 +52,11 @@ def class_accuracy(T: TransitionMatrix, i: int) -> float:
 
 
 def symmetric_accuracy(eps: float, c: int) -> float:
-    """(1-eps)^2 + eps^2/(c-1), correctly rounded.
-
-    The quadratic is flat at its vertex eps = (c-1)/c, where one ulp of
-    rounding in the accuracy moves its inverse by ~3e-9; evaluating in
-    exact rationals keeps the round trip through estimate_epsilon_symmetric
-    on the vertex.
-    """
+    """(1-eps)^2 + eps^2/(c-1)."""
     _check_eps(eps)
     if c < 2:
         raise ValueError(f"class count must be >= 2, got {c}")
-    e = Fraction(eps)
-    return float((1 - e) ** 2 + e**2 / (c - 1))
+    return (1.0 - eps) ** 2 + eps**2 / (c - 1)
 
 
 def asymmetric_accuracy(eps: float) -> float:
@@ -112,9 +104,8 @@ def estimate_epsilon_symmetric(observed_accuracy: float, c: int) -> float:
     """
     if c < 2:
         raise ValueError(f"class count must be >= 2, got {c}")
-    # c*a - 1 keeps the low bits that 1 - c/(c-1)*(1-a) cancels away, so
-    # a = 1/c inverts to the vertex itself rather than up to 1e-8 short of it
-    radicand = (c * observed_accuracy - 1.0) / (c - 1)
+    A = c / (c - 1)
+    radicand = 1.0 - A * (1.0 - observed_accuracy)
     if radicand < 0.0:
         # rounding alone can make the radicand negative at a = 1/c
         if observed_accuracy < 1.0 / c:
@@ -124,7 +115,7 @@ def estimate_epsilon_symmetric(observed_accuracy: float, c: int) -> float:
                 stacklevel=2,
             )
         radicand = 0.0
-    return (1.0 - np.sqrt(radicand)) * (c - 1) / c
+    return (1.0 - np.sqrt(radicand)) / A
 
 
 def estimate_epsilon_asymmetric(observed_accuracy: float) -> float:
