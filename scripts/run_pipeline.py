@@ -12,6 +12,7 @@ Typical invocation:
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from labelnoise import pipeline
 from labelnoise.data import write_csv
@@ -46,6 +47,7 @@ def main(argv=None):
         )
         if args.out:
             header = [key for key in rows[0] if key != "selected"]
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
             write_csv(args.out, header, [[row[key] for key in header] for row in rows])
             print(f"wrote {args.out}")
     except (ValueError, OSError, RuntimeError) as exc:  # the errors labelnoise exits 1 on

@@ -21,9 +21,10 @@ writes in %g's fixed-point form: each cell's digits fill a fixed slot of
 bytes, and a keep mask, looked up by sign, exponent and last non-zero
 digit, picks its text out. Any other row (one with a 0, a -0, a
 subnormal, |x| < 1e-4 or >= 1e15, nan or inf, or an id or label out of
-range) is formatted by Python's % and spliced in at its place. Those rows
-are formatted as when every row took %, from one tolist() per array of a
-block, so data whose rows mostly fall back saves as fast as it did then.
+range) is formatted by Python's %, from one tolist() per array. A block
+makes one call of each formatter, one on its in-range rows and one on
+the rest, and puts each row's line back at its place, so data whose rows
+mostly fall back saves about as fast as when every row took %.
 
 Given the directory a dataset was derived from with its ids and features
 unchanged (`corrupt` relabels its input), `save` copies each row's id and
@@ -316,7 +317,8 @@ def _null_non_finite(value):
 
 def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) -> None:
     """Write data.csv with the bytes write_csv would give the same rows,
-    block by block with numpy arithmetic (`_formatted_rows`). Then write
+    block by block, by numpy arithmetic where every cell of a row is in
+    range and Python's % elsewhere (`_formatted_rows`). Then write
     the same rows to data.npy, and the sha256 of both files to the
     manifest, which `load` checks before it trusts data.npy.
 
@@ -483,10 +485,11 @@ def _int_cells(v: np.ndarray):
 
 
 def _formatted_rows(D: LabeledDataset, labels: tuple):
-    """The rows of data.csv as bytes, 1,024 rows at a time. Rows whose ids
-    and labels are in [0, 10**8) and features in 1e-4 <= |x| < 1e15 go
-    through `_vectorised_rows`; the rest (0, -0, subnormals, nan and inf
-    among them) through Python's %, and are spliced in at their places."""
+    """The rows of data.csv as bytes, 1,024 rows at a time. In each block,
+    rows whose ids and labels are in [0, 10**8) and features in
+    1e-4 <= |x| < 1e15 go through `_vectorised_rows` and the rest (0, -0,
+    subnormals, nan and inf among them) through `_python_rows`, one call
+    each, and each row's line is put back at its place."""
     fmt = "%d" + ",%.17g" * D.d + ",%d" * len(labels) + "\n"
     for start in range(0, D.n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
@@ -498,24 +501,10 @@ def _formatted_rows(D: LabeledDataset, labels: tuple):
             & ((a >= 1e-4) & (a < 1e15)).all(axis=1)
             & ((y >= 0) & (y < 10**8)).all(axis=1)
         )
-        if ok.all():
-            yield _vectorised_rows(ids, x, y)
-        elif not ok.any():
-            yield _python_rows(fmt, ids, x, y)
-        else:
-            texts = {True: _vectorised_rows(ids[ok], x[ok], y[ok]),
-                     False: _python_rows(fmt, ids[~ok], x[~ok], y[~ok])}
-            # ends[kind][k]: where the first k rows of that kind end in its
-            # text; each run of rows of one kind is one slice of that text
-            ends = {kind: [0, *(np.flatnonzero(np.frombuffer(t, np.uint8) == 10) + 1).tolist()]
-                    for kind, t in texts.items()}
-            runs = [0, *(np.flatnonzero(ok[1:] != ok[:-1]) + 1).tolist(), len(ok)]
-            done, pieces = {True: 0, False: 0}, []
-            for run, stop in zip(runs, runs[1:]):
-                kind = bool(ok[run])
-                k, done[kind] = done[kind], done[kind] + stop - run
-                pieces.append(texts[kind][ends[kind][k] : ends[kind][done[kind]]])
-            yield b"".join(pieces)
+        # no cell holds a "\r", so a line is one row
+        fast = iter(_vectorised_rows(ids[ok], x[ok], y[ok]).splitlines(keepends=True))
+        slow = iter(_python_rows(fmt, ids[~ok], x[~ok], y[~ok]).splitlines(keepends=True))
+        yield b"".join([next(fast) if k else next(slow) for k in ok.tolist()])
 
 
 def _vectorised_rows(ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> bytes:

@@ -150,7 +150,6 @@ class OracleLearner(Learner):
         self.T = T
         self.seed = int(seed)
         self.c = T.c
-        self._cdf = T.row_cdf()
 
     def train(self, D: LabeledDataset) -> "OracleLearner":
         return self
@@ -163,12 +162,7 @@ class OracleLearner(Learner):
         true = np.asarray(true_labels, dtype=np.int64)
         if true.shape[0] != features.shape[0]:
             raise ValueError("true_labels length must match feature rows")
-        u = _row_uniforms(features, self.seed)
-        drawn = np.empty(len(true), dtype=np.int64)
-        for i in range(self.c):
-            mask = true == i
-            drawn[mask] = np.searchsorted(self._cdf[i], u[mask], side="right")
-        return true, np.clip(drawn, 0, self.c - 1, out=drawn)
+        return true, self.T.draw(true, _row_uniforms(features, self.seed))
 
     def predict_labels(self, features, true_labels=None) -> np.ndarray:
         return self._draw(features, true_labels)[1]

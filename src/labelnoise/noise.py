@@ -49,6 +49,19 @@ class TransitionMatrix:
         """Per-row cumulative sums used for inverse-CDF sampling."""
         return np.cumsum(self.entries, axis=1)
 
+    def draw(self, labels: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """For each label i, the class j whose interval of row i of
+        `row_cdf()` holds that label's uniform: a draw from T[i]. Labels
+        must lie in [0, c); the caller checks them and supplies u."""
+        cdf = self.row_cdf()
+        out = np.empty(len(labels), dtype=np.int64)
+        for i in range(self.c):
+            mask = labels == i
+            # side="right" maps u < T[i,0] to class 0, etc.; clip guards the
+            # case where the cumulative sum falls a few ulp short of 1.
+            out[mask] = np.searchsorted(cdf[i], u[mask], side="right")
+        return np.clip(out, 0, self.c - 1, out=out)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -175,15 +188,7 @@ def corrupt_labels(true_labels: np.ndarray, T: TransitionMatrix, seed: int) -> n
             f"labels must lie in [0, {T.c}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    u = np.random.default_rng(seed).random(labels.size)
-    cdf = T.row_cdf()
-    out = np.empty(labels.size, dtype=np.int64)
-    for i in range(T.c):
-        mask = labels == i
-        # side="right" maps u < T[i,0] to class 0, etc.; clip guards the
-        # case where the cumulative sum falls a few ulp short of 1.
-        out[mask] = np.searchsorted(cdf[i], u[mask], side="right")
-    return np.clip(out, 0, T.c - 1)
+    return T.draw(labels, np.random.default_rng(seed).random(labels.size))
 
 
 def actual_noise_ratio(observed: np.ndarray, truth: np.ndarray) -> float:

@@ -69,10 +69,19 @@ class SelectionResult:
         }
 
 
+def _json_int(value) -> int:
+    """value as an int, if it is a JSON number (not a bool) that is whole
+    and fits int64; int() names a value it cannot read as a number."""
+    n = int(value)
+    if type(value) not in (int, float) or n != value or not -(2**63) <= n < 2**63:
+        raise ValueError(f"{value!r} is not an integer that fits int64")
+    return n
+
+
 # each IterationRecord field with the cast for its type (a string under
 # postponed annotations); a field of another type fails here, at import
 _HISTORY_FIELDS = tuple(
-    (f.name, {"int": int, "float": float}[f.type]) for f in fields(IterationRecord)
+    (f.name, {"int": _json_int, "float": float}[f.type]) for f in fields(IterationRecord)
 )
 
 
@@ -83,16 +92,16 @@ def selection_result_from_json(payload: dict) -> SelectionResult:
             for h in payload["history"]
         )
         return SelectionResult(
-            selected=np.asarray(sorted(payload["selected"]), dtype=np.int64),
-            candidate=np.asarray(sorted(payload["candidate"]), dtype=np.int64),
-            removed=np.asarray(sorted(payload["removed"]), dtype=np.int64),
+            selected=np.asarray(sorted(map(_json_int, payload["selected"])), dtype=np.int64),
+            candidate=np.asarray(sorted(map(_json_int, payload["candidate"])), dtype=np.int64),
+            removed=np.asarray(sorted(map(_json_int, payload["removed"])), dtype=np.int64),
             epsilon_hat=float(payload["epsilon_hat"]),
             history=history,
             halt_reason=payload.get("halt_reason"),
         )
     except KeyError as exc:
         raise ValueError(f"selection JSON: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:  # a value of the wrong type
+    except (TypeError, ValueError, OverflowError) as exc:  # a value of the wrong type
         raise ValueError(f"selection JSON: {exc}") from None
 
 

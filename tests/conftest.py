@@ -1,8 +1,16 @@
+import contextlib
+import io
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from labelnoise.cli import main
 from labelnoise.data import BlobSpec, LabeledDataset, make_blobs
 from labelnoise.learners import Learner
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class StubLearner(Learner):
@@ -95,3 +103,23 @@ def max_relative_gradient_error(learner, X, y) -> float:
     fd = fd_gradient(learner, X, y)
     denom = np.maximum(1e-3, np.maximum(np.abs(analytic), np.abs(fd)))
     return float(np.max(np.abs(analytic - fd) / denom))
+
+
+def readme_commands() -> list[tuple[str, str]]:
+    """(command, the line quoted under it) for each `$ labelnoise` line of
+    README.md, its continuation lines joined and that prefix cut off."""
+    lines = README.read_text().replace("\\\n", " ").splitlines()
+    return [(line[len("$ labelnoise "):], lines[i + 1])
+            for i, line in enumerate(lines) if line.startswith("$ labelnoise ")]
+
+
+def run_readme(commands) -> list[str]:
+    """Run README.md's library snippet, then each `labelnoise` command in
+    commands, in the working directory; the stdout of each command."""
+    exec(README.read_text().split("```python\n")[1].split("```")[0], {})
+    printed = []
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(shlex.split(command)) == 0, command
+        printed.append(out.getvalue())
+    return printed

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +30,8 @@ from labelnoise.data import (
     BlobSpec, LabeledDataset, corrupt_dataset, make_blobs, write_csv, write_json,
 )
 from labelnoise.noise import NoiseSpec
+
+from conftest import readme_commands, run_readme
 
 
 def run(*argv):
@@ -617,6 +618,30 @@ def test_cotrain_names_the_selection_file_with_a_history_field_of_the_wrong_type
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [1.5, True, "3", 2**70], ids=["float", "bool", "string", "2**70"])
+@pytest.mark.parametrize("field", ["selected", "n_s1"])
+def test_cotrain_names_the_selection_file_with_an_id_or_count_that_is_no_int64(
+    tmp_path, monkeypatch, capsys, field, value
+):
+    # a cast to int64 would read 1.5, true and "3" as 1, 1 and 3
+    src = make_input(tmp_path, ratio=0.2)
+    record = {"iteration": 1, "n_s1": 2, "n_s2": 0, "n_r1": 0, "n_r2": 0, "acc1": 1.0, "acc2": 1.0}
+    payload = {"selected": [0, 2], "candidate": [], "removed": [], "epsilon_hat": 0.0,
+               "history": [record]}
+    if field == "selected":
+        payload["selected"][1] = value
+    else:
+        record[field] = value
+    selection = tmp_path / "selection.json"
+    selection.write_text(json.dumps(payload))
+    monkeypatch.setattr(data_mod, "load", _refuse_load)
+    out = tmp_path / "ct"
+    assert run("cotrain", "--in", src, "--selection", selection, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"error: selection JSON: {value!r} is not an integer that fits int64 in {selection}" in err
+    assert not out.exists()
+
+
 def test_cotrain_eps_s_override(tmp_path):
     src, test, sel = pipeline(tmp_path)
     out = tmp_path / "ct"
@@ -947,22 +972,15 @@ def test_simulate_empty_grid(tmp_path, capsys):
 # README commands
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
 def test_every_readme_command_parses():
-    lines = README.read_text().replace("\\\n", " ").splitlines()
-    commands = [line[len("$ labelnoise "):] for line in lines if line.startswith("$ labelnoise ")]
+    commands = [command for command, _ in readme_commands()]
     assert len(commands) == 6
     for command in commands:
         build_parser().parse_args(shlex.split(command))
 
 
-def test_readme_walkthrough_prints_its_quoted_lines(tmp_path, monkeypatch, capsys):
-    readme = README.read_text()
-    lines = readme.replace("\\\n", " ").splitlines()
-    quoted = [(line[len("$ labelnoise "):], lines[i + 1])
-              for i, line in enumerate(lines) if line.startswith("$ labelnoise ")][:4]
+def test_readme_walkthrough_prints_its_quoted_lines(tmp_path, monkeypatch):
+    quoted = readme_commands()[:4]
     assert [out for _, out in quoted] == [
         "realized noise ratio: 0.495",
         "selected 471 of 1000 samples; estimated noise ratio 0.39000000000000001",
@@ -971,10 +989,7 @@ def test_readme_walkthrough_prints_its_quoted_lines(tmp_path, monkeypatch, capsy
     ]
     # the library snippet, then each command, from one working directory
     monkeypatch.chdir(tmp_path)
-    exec(readme.split("```python\n")[1].split("```")[0], {})
-    for command, out in quoted:
-        assert main(shlex.split(command)) == 0
-        assert capsys.readouterr().out == out + "\n"
+    assert run_readme([command for command, _ in quoted]) == [out + "\n" for _, out in quoted]
 
 
 # ---------------------------------------------------------------------------

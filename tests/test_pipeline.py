@@ -40,3 +40,10 @@ def test_script_reports_a_bad_parameter_as_one_error_line(tmp_path, capsys):
     assert err.splitlines() == ["error: noise ratio must be in [0, 1], got 1.5"]
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_script_makes_the_directory_of_its_out_file(tmp_path):
+    out = tmp_path / "new" / "dir" / "p.csv"
+    assert run_script(["--seeds", "1", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["seed", "1"]
