@@ -4,7 +4,7 @@ Both learners see the same mini-batch stream; each ranks the batch by
 its own per-sample loss, keeps the scheduled number of smallest-loss
 samples, and is updated by one SGD step on the subset the OTHER learner
 kept. Both learners step together, from the same pre-step parameters,
-as one paired SoftmaxLearner call. Warm-up epochs draw batches from the
+as one stacked SoftmaxLearner call. Warm-up epochs draw batches from the
 selected set only; afterwards each batch is a selected-set batch joined
 with a candidate-set batch.
 """
@@ -176,7 +176,7 @@ def cotrain(
     for f in (f1, f2):
         if not isinstance(f, SoftmaxLearner):
             raise TypeError(f"co-training needs gradient learners, got {type(f).__name__}")
-    pair = SoftmaxLearner.pair(f1, f2)
+    pair = SoftmaxLearner.stack(f1, f2)
 
     s_stream = _CyclingSampler(S.n, np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])))
     c_stream = (

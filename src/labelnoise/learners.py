@@ -13,10 +13,10 @@ Three kinds:
                    ReLU hidden layer, trained by mini-batch SGD on
                    cross-entropy; fully deterministic given its seed.
 
-SoftmaxLearner.pair stacks two SoftmaxLearners of one (c, d, hidden) on a
-leading member axis, so one forward pass or SGD step serves both, with
-results bit-identical to two lone calls. Co-training and INCV's two folds
-train their learners this way.
+SoftmaxLearner.stack stacks SoftmaxLearners of one (c, d, hidden) on a
+leading member axis, so one forward pass or SGD step serves all, with
+results bit-identical to lone calls. train_stacked, the one SGD loop,
+trains a lone learner or INCV's fold learners this way.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from itertools import zip_longest
 from typing import Callable, Optional
 
 import numpy as np
@@ -632,25 +631,9 @@ def _check_loss(loss, who: str = "") -> None:
     """Reject a non-finite or runaway batch loss; a stacked loss names the member."""
     if loss.ndim:
         for i, value in enumerate(loss):
-            _check_loss(value, f"learner {i + 1} of the pair: ")
+            _check_loss(value, f"member {i + 1} of {len(loss)}: ")
     elif not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
         raise DivergenceError(f"{who}batch loss {loss} is not finite or exceeds limit")
-
-
-def _epochs(n: int, cfg: TrainConfig):
-    """Row order of each of cfg.epochs SGD passes: fresh permutations from
-    one default_rng(cfg.seed + 1)."""
-    rng = np.random.default_rng(cfg.seed + 1)
-    for _ in range(cfg.epochs):
-        yield rng.permutation(n)
-
-
-def _schedule(n: int, cfg: TrainConfig):
-    """Row positions of each SGD batch: every pass cut into cfg.batch_size
-    slices, the last one shorter when n is not a multiple."""
-    for order in _epochs(n, cfg):
-        for start in range(0, n, cfg.batch_size):
-            yield order[start : start + cfg.batch_size]
 
 
 class SoftmaxLearner(Learner):
@@ -688,7 +671,7 @@ class SoftmaxLearner(Learner):
         self._grads = self._views(self._grad)
 
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Named views into flat's last axis, in sorted name order; a pair's
+        """Named views into flat's last axis, in sorted name order; a stack's
         member axis carries over to every view."""
         shapes = _param_shapes(*self.arch)
         views, offset = {}, 0
@@ -700,25 +683,24 @@ class SoftmaxLearner(Learner):
 
     @property
     def arch(self) -> tuple[int, int, Optional[int]]:
-        """(c, d, hidden): learners that share it can be paired."""
+        """(c, d, hidden): learners that share it can be stacked."""
         return self.c, self.d, self.hidden
 
     @staticmethod
-    def pair(f1: "SoftmaxLearner", f2: "SoftmaxLearner") -> "SoftmaxLearner":
-        """One learner whose parameter vector stacks f1's and f2's as rows.
+    def stack(*learners: "SoftmaxLearner") -> "SoftmaxLearner":
+        """One learner whose parameter vector stacks the learners' as rows.
 
         Its outputs are member first, and its sgd_step steps member i on
-        (X[i], y[i]), checking both losses before updating either. Each
+        (X[i], y[i]), checking every loss before updating any. Each
         member's vector is rebound to its row of the stack, so a member
         still predicts, flattens and steps on its own.
         """
-        if f1.arch != f2.arch:
-            raise TypeError(
-                f"paired learners need one (c, d, hidden), got {f1.arch} and {f2.arch}"
-            )
-        stacked = copy.copy(f1)
-        stacked._bind(np.stack([f1._flat, f2._flat]))
-        for i, f in enumerate((f1, f2)):
+        if any(f.arch != learners[0].arch for f in learners):
+            archs = " and ".join(str(f.arch) for f in learners)
+            raise TypeError(f"stacked learners need one (c, d, hidden), got {archs}")
+        stacked = copy.copy(learners[0])
+        stacked._bind(np.stack([f._flat for f in learners]))
+        for i, f in enumerate(learners):
             f._bind(stacked._flat[i])
         return stacked
 
@@ -733,7 +715,7 @@ class SoftmaxLearner(Learner):
         y = np.asarray(y, dtype=np.int64)
         act, logits = _forward(self.params, self.hidden, X)
         if y.shape != logits.shape[:-1]:
-            # a paired learner needs member-first (2, k) labels, one row per member
+            # a stacked learner needs member-first (m, k) labels, one row per member
             raise ValueError(
                 f"labels of shape {y.shape} do not fit a batch of {logits.shape[:-1]} rows"
             )
@@ -764,7 +746,7 @@ class SoftmaxLearner(Learner):
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         """Mean cross-entropy over the batch and its analytic gradient, a
-        fresh vector laid out as flat_params; a pair's have one row per
+        fresh vector laid out as flat_params; a stack's have one row per
         member."""
         grad = np.empty_like(self._flat)
         return self._loss_and_grad(X, y, self._views(grad)), grad
@@ -776,40 +758,52 @@ class SoftmaxLearner(Learner):
         return loss
 
     def train(self, D: LabeledDataset) -> "SoftmaxLearner":
-        if D.n == 0:
-            raise ValueError("cannot train on an empty dataset")
-        size = self.cfg.batch_size
-        for order in _epochs(D.n, self.cfg):
-            # one gather per epoch; each batch is then a slice of it
-            X, y = D.features[order], D.observed_labels[order]
-            for start in range(0, D.n, size):
-                self.sgd_step(X[start : start + size], y[start : start + size],
-                              self.cfg.learning_rate)
+        train_stacked([self], D.features, D.observed_labels, [np.arange(D.n)])
         return self
 
     def flat_params(self) -> np.ndarray:
-        """A copy of the parameter vector; a pair's has one row per member."""
+        """A copy of the parameter vector; a stack's has one row per member."""
         return self._flat.copy()
 
 
-def train_pair(f1: SoftmaxLearner, f2: SoftmaxLearner, features, labels, rows) -> None:
-    """Train f1 on rows[0] and f2 on rows[1] of (features, labels), as train() would.
+def train_stacked(learners: list[SoftmaxLearner], features, labels, rows) -> None:
+    """Train learners[i] on rows[i] of (features, labels), exactly as its
+    train() would on those rows alone.
 
-    Each learner follows its own batch schedule. Batch j of both is one
-    paired step when the two have the same size and learning rate;
-    otherwise each is stepped alone.
+    Each pass draws every member's row order from its own
+    default_rng(seed + 1) and gathers it into that member's row of one
+    (m, n_max, d) buffer. Batch j is one stacked step where every member's
+    batch j has the same length, and a lone step per member otherwise (the
+    tails of unequal folds). A stacked step is bit-identical to lone steps
+    and each member's batch sequence is its own, so the grouping never
+    shows in the parameters. The members must share one epoch count,
+    batch size and learning rate.
     """
-    pair = SoftmaxLearner.pair(f1, f2)
-    same_lr = f1.cfg.learning_rate == f2.cfg.learning_rate
-    schedules = [_schedule(len(r), f.cfg) for f, r in zip((f1, f2), rows)]
-    for b1, b2 in zip_longest(*schedules):
-        if same_lr and b1 is not None and b2 is not None and len(b1) == len(b2):
-            picked = np.stack([rows[0][b1], rows[1][b2]])
-            pair.sgd_step(features[picked], labels[picked], f1.cfg.learning_rate)
-            continue
-        for f, r, b in zip((f1, f2), rows, (b1, b2)):
-            if b is not None:
-                f.sgd_step(features[r[b]], labels[r[b]], f.cfg.learning_rate)
+    cfg = learners[0].cfg
+    if len({replace(f.cfg, seed=0) for f in learners}) > 1:
+        raise ValueError("stacked learners need one epoch count, batch size and learning rate")
+    sizes = [len(r) for r in rows]
+    if min(sizes) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    m, n_max, size, lr = len(learners), max(sizes), cfg.batch_size, cfg.learning_rate
+    X = np.empty((m, n_max, features.shape[1]))
+    y = np.empty((m, n_max), dtype=np.int64)
+    # a lone learner steps itself on 2-D slices; no stack is built
+    stacked = SoftmaxLearner.stack(*learners) if m > 1 else learners[0]
+    Xs, ys = (X, y) if m > 1 else (X[0], y[0])
+    rngs = [np.random.default_rng(f.cfg.seed + 1) for f in learners]
+    for _ in range(cfg.epochs):
+        for i, (r, rng) in enumerate(zip(rows, rngs)):
+            picked = r[rng.permutation(len(r))]
+            X[i, : len(r)], y[i, : len(r)] = features[picked], labels[picked]
+        for start in range(0, n_max, size):
+            ends = [min(n, start + size) for n in sizes]
+            if len(set(ends)) == 1:
+                stacked.sgd_step(Xs[..., start : ends[0], :], ys[..., start : ends[0]], lr)
+                continue
+            for i, (f, end) in enumerate(zip(learners, ends)):
+                if start < end:
+                    f.sgd_step(X[i, start:end], y[i, start:end], lr)
 
 
 # --------------------------------------------------------------------------

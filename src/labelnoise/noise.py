@@ -51,8 +51,11 @@ class TransitionMatrix:
 
     def draw(self, labels: np.ndarray, u: np.ndarray) -> np.ndarray:
         """For each label i, the class j whose interval of row i of
-        `row_cdf()` holds that label's uniform: a draw from T[i]. Labels
-        must lie in [0, c); the caller checks them and supplies u."""
+        `row_cdf()` holds that label's uniform: a draw from T[i]. The
+        caller supplies u; labels outside [0, c) are refused."""
+        if labels.size and not 0 <= labels.min() <= labels.max() < self.c:
+            raise ValueError(f"labels must lie in [0, {self.c}), got range "
+                             f"[{labels.min()}, {labels.max()}]")
         cdf = self.row_cdf()
         out = np.empty(len(labels), dtype=np.int64)
         for i in range(self.c):
@@ -183,11 +186,6 @@ def corrupt_labels(true_labels: np.ndarray, T: TransitionMatrix, seed: int) -> n
     labels = np.asarray(true_labels, dtype=np.int64)
     if labels.ndim != 1:
         raise ValueError("true_labels must be one-dimensional")
-    if labels.size and (labels.min() < 0 or labels.max() >= T.c):
-        raise ValueError(
-            f"labels must lie in [0, {T.c}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
     return T.draw(labels, np.random.default_rng(seed).random(labels.size))
 
 

@@ -2,7 +2,7 @@
 
 One engine drives both algorithms. Each pass splits the remaining
 candidates in half, trains a fresh learner per fold (softmax fold
-learners side by side, as one paired SoftmaxLearner), and keeps the
+learners side by side, in one train_stacked loop), and keeps the
 opposite fold's samples whose observed label the learner reproduces.
 The single-pass form estimates the noise ratio from the selection rate;
 the iterative form repeats the pass on the shrinking candidate set while
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset, split_half
-from .learners import LearnerFactory, SoftmaxLearner, train_pair
+from .learners import LearnerFactory, SoftmaxLearner, train_stacked
 from .theory import estimate_epsilon_asymmetric, estimate_epsilon_symmetric
 
 
@@ -78,10 +78,17 @@ def _json_int(value) -> int:
     return n
 
 
+def _json_float(value) -> float:
+    """value as a float, if it is a JSON number (not a bool)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 # each IterationRecord field with the cast for its type (a string under
 # postponed annotations); a field of another type fails here, at import
 _HISTORY_FIELDS = tuple(
-    (f.name, {"int": _json_int, "float": float}[f.type]) for f in fields(IterationRecord)
+    (f.name, {"int": _json_int, "float": _json_float}[f.type]) for f in fields(IterationRecord)
 )
 
 
@@ -95,7 +102,7 @@ def selection_result_from_json(payload: dict) -> SelectionResult:
             selected=np.asarray(sorted(map(_json_int, payload["selected"])), dtype=np.int64),
             candidate=np.asarray(sorted(map(_json_int, payload["candidate"])), dtype=np.int64),
             removed=np.asarray(sorted(map(_json_int, payload["removed"])), dtype=np.int64),
-            epsilon_hat=float(payload["epsilon_hat"]),
+            epsilon_hat=_json_float(payload["epsilon_hat"]),
             history=history,
             halt_reason=payload.get("halt_reason"),
         )
@@ -131,16 +138,13 @@ def _iteration_seeds(seed: int, iteration: int) -> tuple[int, int, int]:
 
 
 def _train_folds(D: LabeledDataset, learners, train_ids) -> None:
-    """Train learner i on the rows of D whose id is in train_ids[i].
-
-    Softmax learners of one arch train as a pair (train_pair), reading their
-    batches from D by row position; any other learners train alone on
-    their subset.
-    """
+    """Train learner i on the rows of D whose id is in train_ids[i]:
+    softmax learners of one arch side by side (train_stacked), reading
+    D by row position, and any others alone on their subset."""
     f1, f2 = learners
     if isinstance(f1, SoftmaxLearner) and isinstance(f2, SoftmaxLearner) and f1.arch == f2.arch:
         rows = [np.flatnonzero(np.isin(D.ids, ids)) for ids in train_ids]
-        train_pair(f1, f2, D.features, D.observed_labels, rows)
+        train_stacked(learners, D.features, D.observed_labels, rows)
         return
     for learner, ids in zip(learners, train_ids):
         learner.train(D.subset(ids))

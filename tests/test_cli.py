@@ -618,18 +618,28 @@ def test_cotrain_names_the_selection_file_with_a_history_field_of_the_wrong_type
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", [1.5, True, "3", 2**70], ids=["float", "bool", "string", "2**70"])
-@pytest.mark.parametrize("field", ["selected", "n_s1"])
+NOT_INT64 = {"float": 1.5, "bool": True, "string": "3", "2**70": 2**70}
+NOT_A_NUMBER = {"epsilon_hat": "0.25", "acc1": True, "acc2": "0.5"}
+
+
+@pytest.mark.parametrize("field, value", [
+    *(pytest.param(field, value, id=f"{field}-{name}")
+      for field in ("selected", "n_s1") for name, value in NOT_INT64.items()),
+    *(pytest.param(field, value, id=field) for field, value in NOT_A_NUMBER.items()),
+])
 def test_cotrain_names_the_selection_file_with_an_id_or_count_that_is_no_int64(
     tmp_path, monkeypatch, capsys, field, value
 ):
-    # a cast to int64 would read 1.5, true and "3" as 1, 1 and 3
+    # a cast to int64 would read 1.5, true and "3" as 1, 1 and 3, and float()
+    # would read "0.25", true and "0.5" as 0.25, 1.0 and 0.5
     src = make_input(tmp_path, ratio=0.2)
     record = {"iteration": 1, "n_s1": 2, "n_s2": 0, "n_r1": 0, "n_r2": 0, "acc1": 1.0, "acc2": 1.0}
     payload = {"selected": [0, 2], "candidate": [], "removed": [], "epsilon_hat": 0.0,
                "history": [record]}
     if field == "selected":
         payload["selected"][1] = value
+    elif field in payload:
+        payload[field] = value
     else:
         record[field] = value
     selection = tmp_path / "selection.json"
@@ -638,7 +648,8 @@ def test_cotrain_names_the_selection_file_with_an_id_or_count_that_is_no_int64(
     out = tmp_path / "ct"
     assert run("cotrain", "--in", src, "--selection", selection, "--out", out) == 1
     err = capsys.readouterr().err
-    assert f"error: selection JSON: {value!r} is not an integer that fits int64 in {selection}" in err
+    problem = "is not a number" if field in NOT_A_NUMBER else "is not an integer that fits int64"
+    assert f"error: selection JSON: {value!r} {problem} in {selection}" in err
     assert not out.exists()
 
 

@@ -29,7 +29,7 @@ from labelnoise.learners import (
     knn_factory,
     oracle_factory,
     softmax_factory,
-    train_pair,
+    train_stacked,
 )
 from labelnoise.noise import NoiseSpec, TransitionMatrix, symmetric_matrix
 
@@ -106,6 +106,14 @@ def test_oracle_length_mismatch_rejected():
     learner, X, true = oracle_case()
     with pytest.raises(ValueError, match="length"):
         learner.predict_proba(X, true[:-1])
+
+
+@pytest.mark.parametrize("method", ["predict_labels", "predict_proba"])
+def test_oracle_rejects_true_labels_outside_the_classes(method):
+    # rows of label 7 or -1 would keep np.empty's contents, or read T's last row
+    learner = OracleLearner(symmetric_matrix(3, 0.3), seed=5)
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\), got range \[-1, 7\]"):
+        getattr(learner, method)(random_features(4, 2), [0, 7, -1, 2])
 
 
 def test_oracle_rows_sum_to_one():
@@ -761,7 +769,7 @@ def test_softmax_returned_arrays_do_not_alias_the_learner():
     # in place; nothing handed out may share memory with either
     f1, f2 = lone_pair(3, 4, 5)
     X, y = random_features(6, 4, seed=8), np.array([0, 1, 2, 0, 1, 2])
-    pair = SoftmaxLearner.pair(f1, f2)
+    pair = SoftmaxLearner.stack(f1, f2)
     for learner, Xb, yb in ((f1, X, y), (pair, np.stack([X, X]), np.stack([y, y[::-1]]))):
         loss, grad = learner.loss_and_grad(Xb, yb)
         returned = [grad, learner.flat_params()]
@@ -795,7 +803,7 @@ def test_paired_steps_are_bit_identical_to_two_lone_chains(c, d, hidden, k):
     rng = np.random.default_rng(k * d)
     lone = lone_pair(c, d, hidden)
     members = lone_pair(c, d, hidden)
-    pair = SoftmaxLearner.pair(*members)
+    pair = SoftmaxLearner.stack(*members)
     for step in range(300):
         if step % 50 == 0:
             probe, labels = rng.standard_normal((40, d)), rng.integers(0, c, 40)
@@ -811,7 +819,7 @@ def test_paired_steps_are_bit_identical_to_two_lone_chains(c, d, hidden, k):
 
 def test_paired_members_keep_working_on_their_own():
     f1, f2 = lone_pair(3, 4, 5)
-    pair = SoftmaxLearner.pair(f1, f2)
+    pair = SoftmaxLearner.stack(f1, f2)
     X = random_features(6, 4, seed=3)
     probs = pair.predict_proba(X)
     assert probs.shape == (2, 6, 3)
@@ -828,7 +836,7 @@ def test_paired_members_keep_working_on_their_own():
 
 def test_pair_rejects_learners_of_another_arch():
     with pytest.raises(TypeError, match=r"\(3, 4, 5\) and \(3, 4, None\)"):
-        SoftmaxLearner.pair(
+        SoftmaxLearner.stack(
             SoftmaxLearner(3, 4, softmax_cfg(), 5), SoftmaxLearner(3, 4, softmax_cfg())
         )
 
@@ -837,7 +845,7 @@ def test_labels_must_fit_the_batch():
     f1, f2 = lone_pair(3, 4, None)
     with pytest.raises(ValueError, match=r"labels of shape \(5,\)"):
         f1.sgd_step(random_features(6, 4), np.zeros(5, dtype=np.int64), 0.1)
-    pair = SoftmaxLearner.pair(f1, f2)
+    pair = SoftmaxLearner.stack(f1, f2)
     # a lone-shaped batch would step member 2 on no labels at all
     with pytest.raises(ValueError, match=r"do not fit a batch of \(2, 6\) rows"):
         pair.sgd_step(random_features(6, 4), np.zeros(6, dtype=np.int64), 0.1)
@@ -847,28 +855,62 @@ def test_pair_divergence_names_the_member_and_updates_neither():
     f1, f2 = lone_pair(2, 2, None)
     for f in (f1, f2):
         set_flat_params(f, np.zeros_like(f.flat_params()))
-    pair = SoftmaxLearner.pair(f1, f2)
+    pair = SoftmaxLearner.stack(f1, f2)
     f2.params["b"][:] = [0.0, 2 * DIVERGENCE_LIMIT]
     before = [f.flat_params() for f in (f1, f2)]
-    with pytest.raises(DivergenceError, match="learner 2 of the pair"):
+    with pytest.raises(DivergenceError, match="member 2 of 2: batch loss"):
         pair.sgd_step(np.zeros((2, 1, 2)), np.zeros((2, 1), dtype=np.int64), lr=0.1)
     assert all(np.array_equal(b, f.flat_params()) for b, f in zip(before, (f1, f2)))
 
 
-@pytest.mark.parametrize("sizes, lrs", [((64, 64), (0.5, 0.5)), ((65, 64), (0.5, 0.5)),
-                                        ((47, 48), (0.5, 0.5)), ((64, 64), (0.5, 0.25))])
-def test_pair_train_matches_two_lone_trains(sizes, lrs, tiny_blobs):
+def plain_train(learner, X, y):
+    """The lone SGD loop: a fresh permutation per pass from
+    default_rng(seed + 1), cut into batch_size slices."""
+    cfg = learner.cfg
+    rng = np.random.default_rng(cfg.seed + 1)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            b = order[start : start + cfg.batch_size]
+            learner.sgd_step(X[b], y[b], cfg.learning_rate)
+    return learner
+
+
+# (c, d, hidden, batch, samples per class)
+TINY, DESK, SCALE = (4, 3, 6, 16, 25), (10, 10, 32, 32, 60), (10, 32, 64, 128, 120)
+
+
+@pytest.mark.parametrize("shape, sizes, lrs", [
+    pytest.param(TINY, (64, 64), (0.5, 0.5), id="sizes0-lrs0"),
+    pytest.param(TINY, (65, 64), (0.5, 0.5), id="sizes1-lrs1"),
+    pytest.param(TINY, (47, 48), (0.5, 0.5), id="sizes2-lrs2"),
+    pytest.param(TINY, (64, 64), (0.5, 0.25), id="sizes3-lrs3"),
+    pytest.param(DESK, (500,), (0.3,), id="desk-m1"),
+    pytest.param(DESK, (500, 500), (0.3, 0.3), id="desk-m2-equal"),
+    pytest.param(DESK, (517, 483), (0.3, 0.3), id="desk-m2-unequal"),
+    pytest.param(DESK, (500, 517, 483), (0.3, 0.3, 0.3), id="desk-m3-unequal"),
+    pytest.param(SCALE, (1000,), (0.1,), id="scale-m1"),
+    pytest.param(SCALE, (1024, 1024), (0.1, 0.1), id="scale-m2-equal"),
+    pytest.param(SCALE, (1100, 950), (0.1, 0.1), id="scale-m2-unequal"),
+])
+def test_pair_train_matches_two_lone_trains(shape, sizes, lrs):
     # 65 vs 64 rows: 5 vs 4 batches; 47 vs 48: equal counts, short last
-    # batches of different sizes; unequal learning rates never stack
+    # batches of different sizes; members of unequal learning rates cannot stack
+    c, d, hidden, batch, per_class = shape
+    D = make_blobs(BlobSpec(c=c, d=d, n_per_class=per_class, separation=6.0, spread=1.0, seed=7))
     rng = np.random.default_rng(sum(sizes))
-    rows = [np.sort(rng.choice(tiny_blobs.n, size=m, replace=False)) for m in sizes]
-    cfgs = [softmax_cfg(epochs=3, batch_size=16, learning_rate=lr, seed=s)
-            for s, lr in zip((4, 5), lrs)]
-    lone = [SoftmaxLearner(4, 3, cfg, 6).train(tiny_blobs._take(r)) for cfg, r in zip(cfgs, rows)]
-    members = [SoftmaxLearner(4, 3, cfg, 6) for cfg in cfgs]
-    train_pair(*members, tiny_blobs.features, tiny_blobs.observed_labels, rows)
-    for f, g in zip(lone, members):
-        assert np.array_equal(f.flat_params(), g.flat_params())
+    rows = [np.sort(rng.choice(D.n, size=m, replace=False)) for m in sizes]
+    cfgs = [softmax_cfg(epochs=3, batch_size=batch, learning_rate=lr, seed=4 + i)
+            for i, lr in enumerate(lrs)]
+    members = [SoftmaxLearner(c, d, cfg, hidden) for cfg in cfgs]
+    if len(set(lrs)) > 1:
+        with pytest.raises(ValueError, match="one epoch count, batch size and learning rate"):
+            train_stacked(members, D.features, D.observed_labels, rows)
+        return
+    train_stacked(members, D.features, D.observed_labels, rows)
+    for cfg, r, g in zip(cfgs, rows, members):
+        lone = plain_train(SoftmaxLearner(c, d, cfg, hidden), D.features[r], D.observed_labels[r])
+        assert np.array_equal(lone.flat_params(), g.flat_params())
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +982,7 @@ def test_sgd_steps_are_bit_identical_to_the_reference(c, d, k, hidden):
     ref_lone = {name: v.copy() for name, v in lone.params.items()}
     f1, f2 = lone_pair(c, d, hidden)
     ref_pair = {name: np.stack([f1.params[name], f2.params[name]]) for name in f1.params}
-    pair = SoftmaxLearner.pair(f1, f2)
+    pair = SoftmaxLearner.stack(f1, f2)
     for _ in range(300):
         X, y = rng.standard_normal((2, k, d)), rng.integers(0, c, (2, k))
         assert lone.sgd_step(X[0], y[0], 0.3) == reference_step(ref_lone, hidden, X[0], y[0], 0.3)
