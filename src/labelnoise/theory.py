@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -51,11 +52,24 @@ def class_accuracy(T: TransitionMatrix, i: int) -> float:
     return float(np.dot(row, row))
 
 
+# Within this distance of the vertex eps = (c-1)/c, where the symmetric
+# accuracy quadratic is flat, both it and its inverse take an exact path.
+# Farther out the float closed forms are accurate and keep their bits.
+_NEAR_VERTEX = 2.0**-20
+
+
 def symmetric_accuracy(eps: float, c: int) -> float:
-    """(1-eps)^2 + eps^2/(c-1)."""
+    """(1-eps)^2 + eps^2/(c-1).
+
+    Near the vertex one ulp of rounding in the accuracy moves its inverse
+    by ~3e-9, so there it is evaluated in exact rationals and rounded once.
+    """
     _check_eps(eps)
     if c < 2:
         raise ValueError(f"class count must be >= 2, got {c}")
+    if abs(eps - (c - 1) / c) < _NEAR_VERTEX:
+        e = Fraction(eps)
+        return float((1 - e) ** 2 + e**2 / (c - 1))
     return (1.0 - eps) ** 2 + eps**2 / (c - 1)
 
 
@@ -106,6 +120,11 @@ def estimate_epsilon_symmetric(observed_accuracy: float, c: int) -> float:
         raise ValueError(f"class count must be >= 2, got {c}")
     A = c / (c - 1)
     radicand = 1.0 - A * (1.0 - observed_accuracy)
+    if radicand >= _NEAR_VERTEX:
+        return (1.0 - np.sqrt(radicand)) / A
+    # 1 - A*(1-a) cancels the low bits that c*a - 1 keeps, so a = 1/c would
+    # invert up to 1e-8 short of the vertex instead of onto it
+    radicand = (c * observed_accuracy - 1.0) / (c - 1)
     if radicand < 0.0:
         # rounding alone can make the radicand negative at a = 1/c
         if observed_accuracy < 1.0 / c:
@@ -115,7 +134,7 @@ def estimate_epsilon_symmetric(observed_accuracy: float, c: int) -> float:
                 stacklevel=2,
             )
         radicand = 0.0
-    return (1.0 - np.sqrt(radicand)) / A
+    return (1.0 - np.sqrt(radicand)) * (c - 1) / c
 
 
 def estimate_epsilon_asymmetric(observed_accuracy: float) -> float:

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from labelnoise.cli import main
@@ -186,6 +186,8 @@ def test_write_theory_csv_empty_grid_header_only(tmp_path):
     c=st.integers(min_value=2, max_value=30),
     frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
+@example(c=20, frac=0.9999999999999999)  # accuracy rounds to exactly 1/c
+@example(c=3, frac=0.9999999999999999)  # closed form rounds one ulp above 1/c
 def test_round_trip_property(c, frac):
     eps = frac * (c - 1) / c
     a = symmetric_accuracy(eps, c)
