@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as data_mod
 from .cotraining import CoTrainConfig, cotrain, resolve_eps_s
-from .data import format_float, write_csv, write_json
+from .data import format_float, json_float, write_csv, write_json
 from .learners import (
     KnnLearner,
     OracleLearner,
@@ -423,9 +423,9 @@ def _number(record, key: str, path: Path) -> float:
     if path.suffix == ".json" and isinstance(record, dict) and record.get(key, 0) is None:
         return math.nan
     value = _field(record, key, path)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
+    try:  # a metrics.csv cell is text
+        return json_float(value) if path.suffix == ".json" else float(value)
+    except ValueError:
         raise ValueError(f"{path}: field {key!r} is not a number: {value!r}") from None
 
 

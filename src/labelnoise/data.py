@@ -12,6 +12,10 @@ A dataset directory holds three files:
                   "data_csv_sha256", "data_npy_sha256"}
 
 `write_csv` is the CSV table writer and `write_json` the one JSON writer.
+`json_record` is the one reader of a JSON record read back from disk (the
+manifest's noise and blob specs, selection.json's history): it reads each
+field with `json_int`, `json_float` or `json_str` by its annotated type and
+refuses a value of another type instead of coercing it.
 `save` writes data.csv in its own fixed row format, byte for byte what
 `write_csv` would write for the same rows ("%d" and "%.17g" cells). It
 formats 1,024 rows at a time with numpy arithmetic wherever every cell of
@@ -50,23 +54,23 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .noise import NoiseSpec, TransitionMatrix, corrupt_labels, matrix_from_spec
+from .noise import NoiseSpec, TransitionMatrix, corrupt_labels, integer_vector, matrix_from_spec
 
 SCHEMA_VERSION = 1
 
 
 class SchemaError(ValueError):
-    """A dataset file violates the on-disk schema."""
+    """A file read back from disk violates its schema, at `line` or JSON `field`."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
+    def __init__(self, message: str, line: Optional[int] = None, field: Optional[str] = None):
+        self.line, self.field = line, field
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -95,6 +99,8 @@ class BlobSpec:
             raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
         if not 0 < self.spread < math.inf:
             raise ValueError(f"spread must be finite and > 0, got {self.spread}")
+        if not 0 <= self.seed < 2**63:  # what numpy seeds with and a manifest holds
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -105,17 +111,6 @@ class BlobSpec:
             "spread": self.spread,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BlobSpec":
-        return cls(
-            c=int(data["c"]),
-            d=int(data["d"]),
-            n_per_class=int(data["n_per_class"]),
-            separation=float(data["separation"]),
-            spread=float(data["spread"]),
-            seed=int(data["seed"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -134,14 +129,14 @@ class LabeledDataset:
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
-        observed = np.asarray(self.observed_labels, dtype=np.int64)
-        ids = np.asarray(self.ids, dtype=np.int64)
+        observed = integer_vector(self.observed_labels, "observed_labels")
+        ids = integer_vector(self.ids, "ids")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "observed_labels", observed)
         object.__setattr__(self, "ids", ids)
         if self.true_labels is not None:
             object.__setattr__(
-                self, "true_labels", np.asarray(self.true_labels, dtype=np.int64)
+                self, "true_labels", integer_vector(self.true_labels, "true_labels")
             )
         n = features.shape[0]
         for name, vec in (
@@ -303,6 +298,53 @@ def write_json(path: Path, payload) -> None:
     except ValueError:  # a non-finite float somewhere in payload
         text = json.dumps(_null_non_finite(payload), sort_keys=True, indent=2)
     path.write_text(text + "\n")
+
+
+def json_int(value) -> int:
+    """value as an int, if it is a JSON number (not a bool) that is whole
+    and fits int64; int() names a value it cannot read as a number."""
+    n = int(value)
+    if type(value) not in (int, float) or n != value or not -(2**63) <= n < 2**63:
+        raise ValueError(f"{value!r} is not an integer that fits int64")
+    return n
+
+
+def json_float(value) -> float:
+    """value as a float, if it is a JSON number (not a bool)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def json_str(value) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+# json_record's reader of each field type, as written: a string under postponed annotations
+_READERS = {
+    "int": json_int,
+    "float": json_float,
+    "str": json_str,
+    "Optional[tuple[int, ...]]": lambda v: None if v is None else tuple(map(json_int, v)),
+}
+
+
+def json_record(cls, payload):
+    """The frozen dataclass cls from the JSON object payload, each field read
+    by the reader of its annotated type; a field with a default may be absent.
+    A missing field raises KeyError(name), a wrong value SchemaError(field=name)."""
+    if type(payload) is not dict:
+        raise ValueError(f"{payload!r} is not a JSON object")
+    values = {}
+    for f in fields(cls):
+        if f.name in payload or f.default is MISSING:
+            try:
+                values[f.name] = _READERS[f.type](payload[f.name])
+            except (TypeError, ValueError, OverflowError) as exc:  # int() of None, inf
+                raise SchemaError(str(exc), field=f.name) from None
+    return cls(**values)
 
 
 def _null_non_finite(value):
@@ -588,10 +630,9 @@ def load(path: str | Path) -> LabeledDataset:
         raise SchemaError(f"{manifest_path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise SchemaError(f"{manifest_path}: not a JSON object")
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(
-            f"unsupported schema_version {manifest.get('schema_version')!r}"
-        )
+    version = manifest.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # not true, not 1.0
+        raise SchemaError(f"unsupported schema_version {version!r}")
     try:
         n, d, c = manifest["n"], manifest["d"], manifest["c"]
     except KeyError as exc:
@@ -603,11 +644,14 @@ def load(path: str | Path) -> LabeledDataset:
                 f"manifest.json: field {key!r} must be an integer >= {low}, got {value!r}"
             )
     specs = {}
-    for key, spec_type in (("noise", NoiseSpec), ("blob", BlobSpec)):
+    for key, cls in (("noise", NoiseSpec), ("blob", BlobSpec)):
         try:
-            specs[key] = spec_type.from_dict(manifest[key]) if manifest.get(key) else None
+            specs[key] = None if manifest.get(key) is None else json_record(cls, manifest[key])
         except KeyError as exc:
             raise SchemaError(f"manifest.json: missing field '{key}.{exc.args[0]}'") from None
+        except ValueError as exc:  # a value of the wrong type, not an object, or out of range
+            field = f"{key}.{exc.field}" if isinstance(exc, SchemaError) else key
+            raise SchemaError(f"manifest.json: field {field!r}: {exc}") from None
 
     ids, features, observed, true = (
         _verified_npy(path, manifest, n, d) or _read_csv(path / "data.csv", n, d)

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .data import LabeledDataset
-from .noise import TransitionMatrix
+from .noise import TransitionMatrix, integer_vector
 
 LOSS_CLAMP = 1e-12
 INIT_SCALE = 0.1  # standard deviation of SoftmaxLearner's initial parameters
@@ -158,8 +158,8 @@ class OracleLearner(Learner):
         if true_labels is None:
             raise MissingTrueLabelsError("oracle prediction needs true labels")
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        true = np.asarray(true_labels, dtype=np.int64)
-        if true.shape[0] != features.shape[0]:
+        true = integer_vector(true_labels, "true_labels")
+        if len(true) != features.shape[0]:
             raise ValueError("true_labels length must match feature rows")
         return true, self.T.draw(true, _row_uniforms(features, self.seed))
 

@@ -18,6 +18,21 @@ import numpy as np
 ROW_SUM_TOL = 1e-12
 
 
+def integer_vector(values, name: str) -> np.ndarray:
+    """values as an int64 array, if they are 1-d whole numbers that int64
+    holds: of an integer dtype, or floats without a fraction (bool is
+    neither; an empty list passes). A cast would read 1.7 as 1."""
+    array = np.asarray(values)
+    if array.ndim != 1 or array.dtype.kind not in "iuf" or not (
+        np.can_cast(array.dtype, np.int64)
+        or np.all((array == np.trunc(array)) & (-(2.0**63) <= array) & (array < 2.0**63))
+    ):
+        raise ValueError(
+            f"{name} must be 1-d whole numbers, got {array.dtype} of shape {array.shape}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic c x c matrix of label-corruption probabilities."""
@@ -52,7 +67,9 @@ class TransitionMatrix:
     def draw(self, labels: np.ndarray, u: np.ndarray) -> np.ndarray:
         """For each label i, the class j whose interval of row i of
         `row_cdf()` holds that label's uniform: a draw from T[i]. The
-        caller supplies u; labels outside [0, c) are refused."""
+        caller supplies u; labels that are not 1-d whole numbers in [0, c)
+        are refused."""
+        labels = integer_vector(labels, "labels")
         if labels.size and not 0 <= labels.min() <= labels.max() < self.c:
             raise ValueError(f"labels must lie in [0, {self.c}), got range "
                              f"[{labels.min()}, {labels.max()}]")
@@ -85,8 +102,11 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.ratio <= 1.0:
             raise ValueError(f"noise ratio must be in [0, 1], got {self.ratio}")
+        if not 0 <= self.seed < 2**63:  # what numpy seeds with and a manifest holds
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.mapping is not None:
-            object.__setattr__(self, "mapping", tuple(int(m) for m in self.mapping))
+            mapping = integer_vector(self.mapping, "mapping").tolist()
+            object.__setattr__(self, "mapping", tuple(mapping))
             _check_permutation_no_fixed_points(self.mapping)
 
     def to_dict(self) -> dict:
@@ -96,16 +116,6 @@ class NoiseSpec:
             "mapping": list(self.mapping) if self.mapping is not None else None,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NoiseSpec":
-        mapping = data.get("mapping")
-        return cls(
-            kind=data["kind"],
-            ratio=float(data["ratio"]),
-            mapping=tuple(mapping) if mapping is not None else None,
-            seed=int(data.get("seed", 0)),
-        )
 
 
 def _check_permutation_no_fixed_points(mapping: Sequence[int]) -> None:
@@ -183,10 +193,7 @@ def corrupt_labels(true_labels: np.ndarray, T: TransitionMatrix, seed: int) -> n
     Consumes exactly one uniform draw per sample in index order, so the
     output is reproducible across machines for a fixed seed.
     """
-    labels = np.asarray(true_labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError("true_labels must be one-dimensional")
-    return T.draw(labels, np.random.default_rng(seed).random(labels.size))
+    return T.draw(true_labels, np.random.default_rng(seed).random(np.size(true_labels)))
 
 
 def actual_noise_ratio(observed: np.ndarray, truth: np.ndarray) -> float:

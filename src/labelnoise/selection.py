@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import LabeledDataset, split_half
+from .data import LabeledDataset, json_float, json_int, json_record, json_str, split_half
 from .learners import LearnerFactory, SoftmaxLearner, train_stacked
 from .theory import estimate_epsilon_asymmetric, estimate_epsilon_symmetric
 
@@ -69,42 +69,16 @@ class SelectionResult:
         }
 
 
-def _json_int(value) -> int:
-    """value as an int, if it is a JSON number (not a bool) that is whole
-    and fits int64; int() names a value it cannot read as a number."""
-    n = int(value)
-    if type(value) not in (int, float) or n != value or not -(2**63) <= n < 2**63:
-        raise ValueError(f"{value!r} is not an integer that fits int64")
-    return n
-
-
-def _json_float(value) -> float:
-    """value as a float, if it is a JSON number (not a bool)."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-# each IterationRecord field with the cast for its type (a string under
-# postponed annotations); a field of another type fails here, at import
-_HISTORY_FIELDS = tuple(
-    (f.name, {"int": _json_int, "float": _json_float}[f.type]) for f in fields(IterationRecord)
-)
-
-
 def selection_result_from_json(payload: dict) -> SelectionResult:
     try:
-        history = tuple(
-            IterationRecord(**{name: cast(h[name]) for name, cast in _HISTORY_FIELDS})
-            for h in payload["history"]
-        )
         return SelectionResult(
-            selected=np.asarray(sorted(map(_json_int, payload["selected"])), dtype=np.int64),
-            candidate=np.asarray(sorted(map(_json_int, payload["candidate"])), dtype=np.int64),
-            removed=np.asarray(sorted(map(_json_int, payload["removed"])), dtype=np.int64),
-            epsilon_hat=_json_float(payload["epsilon_hat"]),
-            history=history,
-            halt_reason=payload.get("halt_reason"),
+            selected=np.asarray(sorted(map(json_int, payload["selected"])), dtype=np.int64),
+            candidate=np.asarray(sorted(map(json_int, payload["candidate"])), dtype=np.int64),
+            removed=np.asarray(sorted(map(json_int, payload["removed"])), dtype=np.int64),
+            epsilon_hat=json_float(payload["epsilon_hat"]),
+            history=tuple(json_record(IterationRecord, h) for h in payload["history"]),
+            halt_reason=(None if payload.get("halt_reason") is None
+                         else json_str(payload["halt_reason"])),
         )
     except KeyError as exc:
         raise ValueError(f"selection JSON: missing key {exc.args[0]!r}") from None

@@ -620,22 +620,25 @@ def test_cotrain_names_the_selection_file_with_a_history_field_of_the_wrong_type
 
 NOT_INT64 = {"float": 1.5, "bool": True, "string": "3", "2**70": 2**70}
 NOT_A_NUMBER = {"epsilon_hat": "0.25", "acc1": True, "acc2": "0.5"}
+NOT_A_STRING = {"halt_reason": 5}
 
 
 @pytest.mark.parametrize("field, value", [
     *(pytest.param(field, value, id=f"{field}-{name}")
       for field in ("selected", "n_s1") for name, value in NOT_INT64.items()),
     *(pytest.param(field, value, id=field) for field, value in NOT_A_NUMBER.items()),
+    *(pytest.param(field, value, id=field) for field, value in NOT_A_STRING.items()),
 ])
 def test_cotrain_names_the_selection_file_with_an_id_or_count_that_is_no_int64(
     tmp_path, monkeypatch, capsys, field, value
 ):
-    # a cast to int64 would read 1.5, true and "3" as 1, 1 and 3, and float()
-    # would read "0.25", true and "0.5" as 0.25, 1.0 and 0.5
+    # a cast to int64 would read 1.5, true and "3" as 1, 1 and 3, float()
+    # would read "0.25", true and "0.5" as 0.25, 1.0 and 0.5, and a halt
+    # reason of 5 passed as it was
     src = make_input(tmp_path, ratio=0.2)
     record = {"iteration": 1, "n_s1": 2, "n_s2": 0, "n_r1": 0, "n_r2": 0, "acc1": 1.0, "acc2": 1.0}
     payload = {"selected": [0, 2], "candidate": [], "removed": [], "epsilon_hat": 0.0,
-               "history": [record]}
+               "history": [record], "halt_reason": None}
     if field == "selected":
         payload["selected"][1] = value
     elif field in payload:
@@ -648,7 +651,9 @@ def test_cotrain_names_the_selection_file_with_an_id_or_count_that_is_no_int64(
     out = tmp_path / "ct"
     assert run("cotrain", "--in", src, "--selection", selection, "--out", out) == 1
     err = capsys.readouterr().err
-    problem = "is not a number" if field in NOT_A_NUMBER else "is not an integer that fits int64"
+    problem = ("is not a number" if field in NOT_A_NUMBER
+               else "is not a string" if field in NOT_A_STRING
+               else "is not an integer that fits int64")
     assert f"error: selection JSON: {value!r} {problem} in {selection}" in err
     assert not out.exists()
 
@@ -790,22 +795,28 @@ def test_report_names_a_json_file_that_is_not_json(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize(
-    "name, text, field",
+    "name, text, field, value",
     [
-        ("selection.json", '{"epsilon_hat": "x"}', "epsilon_hat"),
-        ("final.json", '{"acc_f1": "x", "acc_f2": 0.5, "best_acc": 0.5}', "acc_f1"),
-        ("metrics.csv", "experiment,class,lp,lr,eps_s\nrun,all,x,0.8,0.1\n", "lp"),
+        ("selection.json", '{"epsilon_hat": "x"}', "epsilon_hat", "x"),
+        ("final.json", '{"acc_f1": "x", "acc_f2": 0.5, "best_acc": 0.5}', "acc_f1", "x"),
+        ("metrics.csv", "experiment,class,lp,lr,eps_s\nrun,all,x,0.8,0.1\n", "lp", "x"),
+        # float() read these JSON values as 0.25, 0.5, 1.0 and 1000
+        ("selection.json", '{"epsilon_hat": "0.25"}', "epsilon_hat", "0.25"),
+        ("final.json", '{"acc_f1": "0.5", "acc_f2": 0.5, "best_acc": 0.5}', "acc_f1", "0.5"),
+        ("final.json", '{"acc_f1": 0.5, "acc_f2": true, "best_acc": 0.5}', "acc_f2", True),
+        ("final.json", '{"acc_f1": 0.5, "acc_f2": 0.5, "best_acc": "1e3"}', "best_acc", "1e3"),
     ],
-    ids=["selection", "final", "metrics"],
+    ids=["selection", "final", "metrics", "selection-string", "final-string", "final-bool",
+         "final-exponent-string"],
 )
 def test_report_names_the_file_and_field_that_is_not_a_number(
-    tmp_path, capsys, name, text, field
+    tmp_path, capsys, name, text, field, value
 ):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     (run_dir / name).write_text(text)
     assert run("report", "--runs", run_dir, "--out", tmp_path / "rep") == 1
-    assert f"error: {run_dir / name}: field {field!r} is not a number: 'x'" in (
+    assert f"error: {run_dir / name}: field {field!r} is not a number: {value!r}" in (
         capsys.readouterr().err
     )
 

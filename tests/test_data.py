@@ -8,7 +8,7 @@ import shutil
 import struct
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from labelnoise.data import (
     LabeledDataset,
     SchemaError,
     corrupt_dataset,
+    json_record,
     load,
     make_blobs,
     save,
@@ -30,6 +31,7 @@ from labelnoise.data import (
     write_csv,
 )
 from labelnoise.noise import NoiseSpec, actual_noise_ratio, random_diagonal_dominant
+from labelnoise.selection import IterationRecord
 
 
 def blob(c=3, d=2, npc=50, sep=4.0, spread=1.0, seed=0):
@@ -53,6 +55,47 @@ def test_blob_spec_rejects_non_finite_scales(field, value):
     spec = dict(c=3, d=2, n_per_class=5, separation=1.0, spread=1.0, seed=0)
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         BlobSpec(**{**spec, field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63])
+@pytest.mark.parametrize("spec", ["blob", "noise"])
+def test_specs_refuse_a_seed_that_numpy_and_a_manifest_cannot_hold(spec, seed):
+    # a manifest reads its integers as int64, and numpy seeds with no negative
+    with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*63\), got "):
+        if spec == "blob":
+            BlobSpec(c=3, d=2, n_per_class=5, separation=1.0, spread=1.0, seed=seed)
+        else:
+            NoiseSpec(kind="symmetric", ratio=0.2, seed=seed)
+
+
+_int64 = st.integers(min_value=0, max_value=2**63 - 1)
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_blob_specs = st.builds(
+    BlobSpec, c=st.integers(2, 2**63 - 1), d=st.integers(1, 2**63 - 1),
+    n_per_class=st.integers(1, 2**63 - 1), seed=_int64,
+    separation=st.floats(min_value=0.0, allow_infinity=False),
+    spread=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+_derangements = st.integers(2, 8).flatmap(
+    lambda c: st.permutations(range(c)).filter(lambda p: all(i != j for i, j in enumerate(p)))
+)
+_noise_specs = st.builds(
+    NoiseSpec, kind=st.sampled_from(["symmetric", "asymmetric", "custom"]), ratio=_unit,
+    mapping=st.none() | _derangements.map(tuple), seed=_int64,
+)
+_iteration_records = st.builds(
+    IterationRecord, iteration=_int64, n_s1=_int64, n_s2=_int64, n_r1=_int64, n_r2=_int64,
+    acc1=_unit, acc2=_unit,
+)
+
+
+@settings(max_examples=200)
+@given(record=st.one_of(_blob_specs, _noise_specs, _iteration_records))
+def test_json_records_round_trip_through_json_record(record):
+    # every record write_json writes and a reader builds again: the manifest's
+    # specs and selection.json's history; counts of a saved dataset fit int64
+    payload = record.to_dict() if hasattr(record, "to_dict") else asdict(record)
+    assert json_record(type(record), json.loads(json.dumps(payload))) == record
 
 
 def test_make_blobs_shapes_and_clean_start():
@@ -187,6 +230,19 @@ def test_duplicate_ids_rejected():
     with pytest.raises(ValueError, match="sample ids must be unique"):
         LabeledDataset(features=np.zeros((3, 1)), observed_labels=[0, 1, 0],
                        ids=[5, 2, 5], c=2)
+
+
+@pytest.mark.parametrize(
+    "column, values",
+    [("observed_labels", [0.5, 1.7]), ("ids", [0, 1.9]), ("true_labels", [1.2, 0.0]),
+     ("observed_labels", [True, False]), ("ids", np.zeros((2, 1), dtype=np.int64))],
+    ids=["observed-fractions", "ids-fraction", "true-fraction", "observed-bool", "ids-column"],
+)
+def test_dataset_refuses_ids_and_labels_that_are_not_1d_whole_numbers(column, values):
+    # a cast to int64 stored [0.5, 1.7] as [0 1]
+    columns = {"observed_labels": [0, 1], "ids": [0, 1], "true_labels": [1, 0], column: values}
+    with pytest.raises(ValueError, match=f"^{column} must be 1-d whole numbers, got "):
+        LabeledDataset(features=np.zeros((2, 1)), c=2, **columns)
 
 
 def test_split_half_partitions():
@@ -1027,6 +1083,51 @@ def test_load_names_missing_manifest_field(tmp_path, key, nested, name):
     del target[nested or key]
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(SchemaError, match=f"manifest.json: missing field {name}"):
+        load(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "key, field, value, problem",
+    [("blob", "c", 2.7, "field 'blob.c': 2.7 is not an integer that fits int64"),
+     ("blob", "seed", "7", "field 'blob.seed': '7' is not an integer that fits int64"),
+     ("blob", "n_per_class", 5.9,
+      "field 'blob.n_per_class': 5.9 is not an integer that fits int64"),
+     ("noise", "ratio", "0.2", "field 'noise.ratio': '0.2' is not a number"),
+     ("noise", "seed", True, "field 'noise.seed': True is not an integer that fits int64"),
+     ("noise", "mapping", [1.5, 2, 0],
+      "field 'noise.mapping': 1.5 is not an integer that fits int64"),
+     ("noise", "kind", 5, "field 'noise.kind': 5 is not a string"),
+     ("noise", "ratio", 1.5, "field 'noise': noise ratio must be in [0, 1], got 1.5"),
+     ("noise", None, "symmetric", "field 'noise': 'symmetric' is not a JSON object"),
+     ("noise", None, {}, "missing field 'noise.kind'")],
+    ids=["blob.c", "blob.seed", "blob.n_per_class", "noise.ratio", "noise.seed",
+         "noise.mapping", "noise.kind", "noise.ratio-range", "noise-string", "noise-empty"],
+)
+def test_load_names_a_manifest_spec_field_of_the_wrong_type(tmp_path, key, field, value, problem):
+    # int() and float() read 2.7, true, "7" and "0.2" as 2, 1, 7 and 0.2, a
+    # "noise" of {} as no noise, and a string "noise" raised a TypeError
+    spec = NoiseSpec(kind="asymmetric", ratio=0.2, mapping=(1, 2, 0), seed=1)
+    save(corrupt_dataset(blob(npc=3), spec), tmp_path / "ds")
+    manifest_path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if field is None:
+        manifest[key] = value
+    else:
+        manifest[key][field] = value
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError) as excinfo:
+        load(tmp_path / "ds")
+    assert str(excinfo.value) == f"manifest.json: {problem}"
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_load_refuses_a_schema_version_that_is_not_the_integer_1(tmp_path, version):
+    save(blob(npc=3), tmp_path / "ds")
+    manifest_path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["schema_version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError, match=f"^unsupported schema_version {version!r}$"):
         load(tmp_path / "ds")
 
 

@@ -116,6 +116,22 @@ def test_oracle_rejects_true_labels_outside_the_classes(method):
         getattr(learner, method)(random_features(4, 2), [0, 7, -1, 2])
 
 
+@pytest.mark.parametrize(
+    "labels, got",
+    [([0.5, 1.7, 2, 0], "float64 of shape (4,)"),
+     (np.zeros((4, 1), dtype=np.int64), "int64 of shape (4, 1)"),
+     ([True, False, True, False], "bool of shape (4,)")],
+    ids=["fractions", "column", "bool"],
+)
+@pytest.mark.parametrize("method", ["predict_labels", "predict_proba"])
+def test_oracle_refuses_true_labels_that_are_not_1d_whole_numbers(method, labels, got):
+    # a cast to int64 read 0.5 and 1.7 as classes 0 and 1
+    learner = OracleLearner(symmetric_matrix(3, 0.3), seed=5)
+    with pytest.raises(ValueError) as excinfo:
+        getattr(learner, method)(random_features(4, 2), labels)
+    assert str(excinfo.value) == f"true_labels must be 1-d whole numbers, got {got}"
+
+
 def test_oracle_rows_sum_to_one():
     learner, X, true = oracle_case()
     probs = learner.predict_proba(X, true)

@@ -99,9 +99,16 @@ def test_matrix_from_spec_rejects_custom_kind():
         matrix_from_spec(NoiseSpec(kind="custom", ratio=0.0, seed=0), c=3)
 
 
-def test_noise_spec_round_trips_through_dict():
-    spec = NoiseSpec(kind="asymmetric", ratio=0.4, mapping=(1, 2, 0), seed=9)
-    assert NoiseSpec.from_dict(spec.to_dict()) == spec
+def test_noise_spec_takes_a_mapping_of_whole_numbers():
+    spec = NoiseSpec(kind="asymmetric", ratio=0.4, mapping=np.array([1.0, 2.0, 0.0]))
+    assert spec.mapping == (1, 2, 0) and all(type(m) is int for m in spec.mapping)
+
+
+@pytest.mark.parametrize("mapping", [(1.5, 2, 0), (True, False)], ids=["fraction", "bool"])
+def test_noise_spec_refuses_a_mapping_that_is_not_whole_numbers(mapping):
+    # int() read (1.5, 2, 0) as the permutation (1, 2, 0)
+    with pytest.raises(ValueError, match="^mapping must be 1-d whole numbers, got "):
+        NoiseSpec(kind="asymmetric", ratio=0.4, mapping=mapping)
 
 
 def test_corrupt_labels_identity_is_noop():
@@ -148,6 +155,15 @@ def test_corrupt_labels_matches_each_row_distribution():
 def test_corrupt_labels_rejects_out_of_range():
     with pytest.raises(ValueError):
         corrupt_labels(np.array([0, 3]), symmetric_matrix(3, 0.1), seed=0)
+
+
+@pytest.mark.parametrize(
+    "labels", [[0.5, 1.7, 2], np.zeros((3, 1), dtype=np.int64), np.array([True, False])],
+    ids=["fractions", "column", "bool"],
+)
+def test_corrupt_labels_refuses_labels_that_are_not_1d_whole_numbers(labels):
+    with pytest.raises(ValueError, match="^labels must be 1-d whole numbers, got "):
+        corrupt_labels(labels, symmetric_matrix(3, 0.1), seed=0)
 
 
 def test_actual_noise_ratio_hand_case():
