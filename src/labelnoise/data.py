@@ -38,14 +38,14 @@ its data.npy holds the same ids and feature bits; those rows are then the
 text `save` wrote for these very values, so the output bytes do not
 depend on which path ran.
 
-`load` reads data.npy only when the manifest records both digests and both
-files on disk still hash to them, so a data.csv edited after `save`, a
-stale or damaged data.npy, or a directory saved without digests is read
-from data.csv. data.npy is read once, and its columns are parsed from the
-bytes that were hashed. data.csv is parsed row by row with int() and
-float(), about 1 s for 30,000 rows of 32 features on a 2-CPU machine; a
-blank line, a comment line or any other malformed row is rejected with a
-SchemaError that names its line.
+`load` parses data.npy and nothing else, once the manifest records both
+digests and both files on disk still hash to them; a directory without
+them, without data.npy, or with either file changed since `save` is
+refused with a SchemaError that names the file and the cause. data.npy is
+read once, and its columns are parsed from the bytes that were hashed.
+data.csv is a written export: `load` checks its digest, so a hand edit is
+refused rather than ignored, but never parses it. Datasets are changed
+with `save`, not by hand.
 """
 
 from __future__ import annotations
@@ -67,12 +67,10 @@ SCHEMA_VERSION = 1
 
 
 class SchemaError(ValueError):
-    """A file read back from disk violates its schema, at `line` or JSON `field`."""
+    """A file read back from disk violates its schema, at JSON `field` if named."""
 
-    def __init__(self, message: str, line: Optional[int] = None, field: Optional[str] = None):
-        self.line, self.field = line, field
-        if line is not None:
-            message = f"line {line}: {message}"
+    def __init__(self, message: str, field: Optional[str] = None):
+        self.field = field
         super().__init__(message)
 
 
@@ -167,7 +165,7 @@ class LabeledDataset:
         """Rows whose id is in `ids`, in the stored row order."""
         if not isinstance(ids, np.ndarray):
             ids = list(ids)
-        wanted = _sorted_unique(np.asarray(ids, dtype=np.int64))
+        wanted = _sorted_unique(integer_vector(ids, "ids"))
         mask = np.isin(self.ids, wanted)
         if mask.sum() != len(wanted):
             raise ValueError(
@@ -322,12 +320,18 @@ def json_str(value) -> str:
     return value
 
 
+def _json_int_tuple(value) -> tuple:
+    if type(value) is not list:
+        raise ValueError(f"{value!r} is not a list of integers")
+    return tuple(map(json_int, value))
+
+
 # json_record's reader of each field type, as written: a string under postponed annotations
 _READERS = {
     "int": json_int,
     "float": json_float,
     "str": json_str,
-    "Optional[tuple[int, ...]]": lambda v: None if v is None else tuple(map(json_int, v)),
+    "Optional[tuple[int, ...]]": lambda v: None if v is None else _json_int_tuple(v),
 }
 
 
@@ -592,11 +596,7 @@ def _source_csv(D: LabeledDataset, path: Path, source: Path):
         columns = _verified_npy(source, manifest, D.n, D.d)
     except (OSError, ValueError):  # ValueError covers json's and the SchemaErrors
         return None
-    if (
-        columns is None
-        or columns[0].tobytes() != D.ids.tobytes()
-        or columns[1].tobytes() != D.features.tobytes()
-    ):
+    if columns[0].tobytes() != D.ids.tobytes() or columns[1].tobytes() != D.features.tobytes():
         return None
     return source_csv, 1 if columns[3] is None else 2
 
@@ -653,27 +653,27 @@ def load(path: str | Path) -> LabeledDataset:
             field = f"{key}.{exc.field}" if isinstance(exc, SchemaError) else key
             raise SchemaError(f"manifest.json: field {field!r}: {exc}") from None
 
-    ids, features, observed, true = (
-        _verified_npy(path, manifest, n, d) or _read_csv(path / "data.csv", n, d)
-    )
+    ids, features, observed, true = _verified_npy(path, manifest, n, d)
 
-    # value checks run vectorised after the parse; the first bad row names
-    # the line (row 0 is line 2, after the header; data.npy holds the rows
-    # of data.csv in its order)
+    # value checks run vectorised after the parse; the first bad row is
+    # named by its index and its id
     for name, vec in (("observed_label", observed), ("true_label", true)):
         if vec is None:
             continue
         bad = np.flatnonzero((vec < 0) | (vec >= c))
         if len(bad):
+            row = int(bad[0])
             raise SchemaError(
-                f"manifest declares c={c} but {name} contains {int(vec[bad[0]])}",
-                line=int(bad[0]) + 2,
+                f"data.npy row {row} (id {ids[row]}): "
+                f"manifest declares c={c} but {name} contains {vec[row]}"
             )
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
-        row = features[bad[0]]
-        j = int(np.flatnonzero(~np.isfinite(row))[0])
-        raise SchemaError(f"feature f{j} is {row[j]}, not finite", line=int(bad[0]) + 2)
+        row = int(bad[0])
+        j = int(np.flatnonzero(~np.isfinite(features[row]))[0])
+        raise SchemaError(
+            f"data.npy row {row} (id {ids[row]}): feature f{j} is {features[row, j]}, not finite"
+        )
 
     return LabeledDataset(
         features=features,
@@ -686,23 +686,32 @@ def load(path: str | Path) -> LabeledDataset:
     )
 
 
+_BY_HAND = "; datasets are changed with labelnoise.save, not by hand"
+
+
 def _verified_npy(path: Path, manifest: dict, n: int, d: int):
-    """The columns of path's data.npy, or None unless the manifest records
-    both digests, data.npy exists and both files hash to them. data.npy is
-    read once, and its columns come from the bytes that were hashed, so a
-    file replaced after the check is never parsed. Its header must give the
-    manifest's d and n, or a SchemaError says which differs."""
-    digests = (manifest.get("data_npy_sha256"), manifest.get("data_csv_sha256"))
-    if None in digests:
-        return None
+    """The columns of path's data.npy, once the manifest records both
+    digests and both files hash to them; otherwise a SchemaError names the
+    file and the cause. data.npy is read once, and its columns come from
+    the bytes that were hashed, so a file replaced after the check is never
+    parsed. Its header must give the manifest's d and n, or a SchemaError
+    says which differs."""
+    for key in ("data_npy_sha256", "data_csv_sha256"):
+        if key not in manifest:
+            raise SchemaError(f"manifest.json: missing field {key!r}{_BY_HAND}")
     try:
         raw = (path / "data.npy").read_bytes()
     except FileNotFoundError:
-        return None
+        raise SchemaError(f"{path / 'data.npy'}: no such file{_BY_HAND}") from None
     import hashlib  # see _sha256
 
-    if (hashlib.sha256(raw).hexdigest(), _sha256(path / "data.csv")) != digests:
-        return None
+    for name, digest in (("data.npy", hashlib.sha256(raw).hexdigest()),
+                         ("data.csv", _sha256(path / "data.csv"))):
+        key = name.replace(".", "_") + "_sha256"
+        if digest != manifest[key]:
+            raise SchemaError(
+                f"{path / name}: sha256 does not match manifest.json's {key}{_BY_HAND}"
+            )
     fh = io.BytesIO(raw)
     if np.lib.format.read_magic(fh) == (1, 0):
         shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
@@ -721,44 +730,3 @@ def _verified_npy(path: Path, manifest: dict, n: int, d: int):
         table["true_label"].copy() if has_true else None,
     )
 
-
-def _read_csv(csv_path: Path, n: int, d: int):
-    """The columns of data.csv, after checking its header against the
-    manifest's d, row by row with int() and float(); every malformed row
-    raises a SchemaError that names its line."""
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("data.csv is empty", line=1)
-        expected = ["id"] + [f"f{j}" for j in range(d)] + ["observed_label"]
-        has_true = header == expected + ["true_label"]
-        if not has_true and header != expected:
-            missing = [col for col in expected if col not in header]
-            if missing:
-                raise SchemaError(f"missing column(s) {missing}", line=1)
-            raise SchemaError(f"unexpected header {header}", line=1)
-        width = d + (3 if has_true else 2)
-        ids = np.empty(n, dtype=np.int64)
-        features = np.empty((n, d))
-        observed = np.empty(n, dtype=np.int64)
-        true = np.empty(n, dtype=np.int64) if has_true else None
-        t = 0
-        for lineno, row in enumerate(reader, start=2):
-            if t >= n:
-                raise SchemaError(f"more than the {n} rows declared in manifest", line=lineno)
-            if len(row) != width:
-                raise SchemaError(f"expected {width} fields, got {len(row)}", line=lineno)
-            try:
-                ids[t] = int(row[0])
-                features[t] = [float(v) for v in row[1 : 1 + d]]
-                observed[t] = int(row[1 + d])
-                if true is not None:
-                    true[t] = int(row[2 + d])
-            except (ValueError, OverflowError) as exc:  # overflow: an int beyond int64
-                raise SchemaError(str(exc), line=lineno) from exc
-            t += 1
-    if t != n:
-        raise SchemaError(f"manifest declares n={n} but data.csv has {t} rows")
-    return ids, features, observed, true

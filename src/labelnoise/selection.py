@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import LabeledDataset, json_float, json_int, json_record, json_str, split_half
 from .learners import LearnerFactory, SoftmaxLearner, train_stacked
+from .noise import integer_vector
 from .theory import estimate_epsilon_asymmetric, estimate_epsilon_symmetric
 
 
@@ -282,7 +283,7 @@ def selection_metrics(selected_ids, D: LabeledDataset) -> SelectionMetrics:
     """
     if D.true_labels is None:
         raise ValueError("selection metrics need a dataset with true labels")
-    ids = np.asarray(selected_ids, dtype=np.int64)
+    ids = integer_vector(selected_ids, "selected_ids")
     if not np.isin(ids, D.ids).all():
         raise ValueError("selected ids are not a subset of the dataset ids")
     if ids.size == 0:

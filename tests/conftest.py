@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import shlex
 from pathlib import Path
 
@@ -123,3 +124,47 @@ def run_readme(commands) -> list[str]:
             assert main(shlex.split(command)) == 0, command
         printed.append(out.getvalue())
     return printed
+
+
+def _edit_data_csv(ds):
+    # the first feature of the first row, as a hand edit after save would
+    lines = (ds / "data.csv").read_text().split("\n")
+    fields = lines[1].split(",")
+    fields[1] = "99"
+    lines[1] = ",".join(fields)
+    (ds / "data.csv").write_text("\n".join(lines))
+
+
+def _drop_manifest_keys(*keys):
+    def drop(ds):
+        manifest = json.loads((ds / "manifest.json").read_text())
+        for key in keys:
+            del manifest[key]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+
+    return drop
+
+
+def _damage_data_npy(ds):
+    raw = bytearray((ds / "data.npy").read_bytes())
+    raw[-1] ^= 0xFF  # the last row's last label
+    (ds / "data.npy").write_bytes(bytes(raw))
+
+
+BY_HAND = "; datasets are changed with labelnoise.save, not by hand"
+# Edits of a saved dataset directory that load cannot verify, each with the
+# cause, given the directory, that load's SchemaError states before BY_HAND
+UNVERIFIABLE = {
+    "edited-data-csv": (_edit_data_csv, lambda ds: (
+        f"{ds / 'data.csv'}: sha256 does not match manifest.json's data_csv_sha256")),
+    "no-digests": (_drop_manifest_keys("data_csv_sha256", "data_npy_sha256"),
+                   lambda ds: "manifest.json: missing field 'data_npy_sha256'"),
+    "no-csv-digest": (_drop_manifest_keys("data_csv_sha256"),
+                      lambda ds: "manifest.json: missing field 'data_csv_sha256'"),
+    "no-npy-digest": (_drop_manifest_keys("data_npy_sha256"),
+                      lambda ds: "manifest.json: missing field 'data_npy_sha256'"),
+    "no-data-npy": (lambda ds: (ds / "data.npy").unlink(),
+                    lambda ds: f"{ds / 'data.npy'}: no such file"),
+    "damaged-data-npy": (_damage_data_npy, lambda ds: (
+        f"{ds / 'data.npy'}: sha256 does not match manifest.json's data_npy_sha256")),
+}

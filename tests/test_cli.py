@@ -31,7 +31,7 @@ from labelnoise.data import (
 )
 from labelnoise.noise import NoiseSpec
 
-from conftest import readme_commands, run_readme
+from conftest import BY_HAND, UNVERIFIABLE, readme_commands, run_readme
 
 
 def run(*argv):
@@ -452,6 +452,15 @@ def test_ncv_manifest_without_n_exits_1(tmp_path, capsys):
     (src / "manifest.json").write_text(json.dumps(manifest))
     assert run("ncv", "--in", src, "--out", tmp_path / "o") == 1
     assert "error: manifest.json: missing field 'n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", list(UNVERIFIABLE))
+def test_incv_refuses_a_dataset_it_cannot_verify_with_one_error_line(tmp_path, capsys, case):
+    src = make_input(tmp_path, ratio=0.2)
+    edit, cause = UNVERIFIABLE[case]
+    edit(src)
+    assert run("incv", "--in", src, "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {cause(src)}{BY_HAND}"]
 
 
 def test_ncv_names_a_manifest_that_is_not_json(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import builtins
+import csv
 import hashlib
 import io
 import json
@@ -32,6 +33,8 @@ from labelnoise.data import (
 )
 from labelnoise.noise import NoiseSpec, actual_noise_ratio, random_diagonal_dominant
 from labelnoise.selection import IterationRecord
+
+from conftest import BY_HAND, UNVERIFIABLE
 
 
 def blob(c=3, d=2, npc=50, sep=4.0, spread=1.0, seed=0):
@@ -226,6 +229,13 @@ def test_subset_accepts_any_iterable_of_ids():
         D.subset(np.array([0, 999, -1, 999]))
 
 
+@pytest.mark.parametrize("ids", [[0.5, 2.7], [[1, 2]], [True]], ids=["fractions", "column", "bool"])
+def test_subset_refuses_ids_that_are_not_1d_whole_numbers(ids):
+    # a cast to int64 read [0.5, 2.7] as the rows of ids 0 and 2
+    with pytest.raises(ValueError, match="^ids must be 1-d whole numbers, got "):
+        blob(npc=5).subset(ids)
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(ValueError, match="sample ids must be unique"):
         LabeledDataset(features=np.zeros((3, 1)), observed_labels=[0, 1, 0],
@@ -278,37 +288,34 @@ def test_split_per_class_counts_and_disjoint():
         split_per_class(D, 11)
 
 
-_DIGESTS = ("data_csv_sha256", "data_npy_sha256")
-
-
-def _load_from_data_csv(ds, dropped=_DIGESTS):
-    """Load ds after deleting the `dropped` manifest keys (both digests by
-    default, as in a directory saved before data.npy existed), asserting the
-    rows come from one parse of data.csv."""
-    manifest = json.loads((ds / "manifest.json").read_text())
-    for key in dropped:
-        del manifest[key]
-    data_mod.write_json(ds / "manifest.json", manifest)
-
-    passes = []
-    parse = data_mod._read_csv
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data_mod, "_read_csv", lambda *a: passes.append(1) or parse(*a))
-        back = load(ds)
-    assert passes == [1]
-    return back
+def _assert_data_csv_holds(ds, D):
+    """ds's data.csv, parsed with csv.reader, int() and float(), holds D's
+    rows bit for bit. load never parses data.csv, so its text is checked
+    here, against the values data.npy holds."""
+    labels = [D.observed_labels] + ([] if D.true_labels is None else [D.true_labels])
+    with open(ds / "data.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["id", *(f"f{j}" for j in range(D.d)), "observed_label",
+                      *["true_label"] * (len(labels) - 1)]
+    assert all(len(row) == len(header) for row in rows)
+    assert [int(row[0]) for row in rows] == D.ids.tolist()
+    features = np.array([[float(v) for v in row[1:1 + D.d]] for row in rows], dtype=np.float64)
+    assert features.reshape(D.n, D.d).tobytes() == D.features.tobytes()
+    for k, column in enumerate(labels):
+        assert [int(row[1 + D.d + k]) for row in rows] == column.tolist()
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):
     D = corrupt_dataset(blob(npc=30), NoiseSpec(kind="asymmetric", ratio=0.3, seed=2))
     save(D, tmp_path / "ds")
-    for back in (load(tmp_path / "ds"), _load_from_data_csv(tmp_path / "ds")):
-        assert np.array_equal(back.features, D.features)
-        assert np.array_equal(back.observed_labels, D.observed_labels)
-        assert np.array_equal(back.true_labels, D.true_labels)
-        assert np.array_equal(back.ids, D.ids)
-        assert back.c == D.c
-        assert back.noise == D.noise
+    back = load(tmp_path / "ds")
+    assert np.array_equal(back.features, D.features)
+    assert np.array_equal(back.observed_labels, D.observed_labels)
+    assert np.array_equal(back.true_labels, D.true_labels)
+    assert np.array_equal(back.ids, D.ids)
+    assert back.c == D.c
+    assert back.noise == D.noise
+    _assert_data_csv_holds(tmp_path / "ds", D)
 
 
 def test_save_writes_golden_bytes(tmp_path):
@@ -358,9 +365,10 @@ def test_save_load_without_truth(tmp_path):
         features=D.features, observed_labels=D.observed_labels, ids=D.ids, c=D.c
     )
     save(bare, tmp_path / "ds")
-    for back in (load(tmp_path / "ds"), _load_from_data_csv(tmp_path / "ds")):
-        assert back.true_labels is None
-        assert np.array_equal(back.features, D.features)
+    back = load(tmp_path / "ds")
+    assert back.true_labels is None
+    assert np.array_equal(back.features, D.features)
+    _assert_data_csv_holds(tmp_path / "ds", bare)
 
 
 def test_save_writes_manifest_fields(tmp_path):
@@ -370,28 +378,6 @@ def test_save_writes_manifest_fields(tmp_path):
     assert manifest["schema_version"] == 1
     assert manifest["n"] == D.n and manifest["d"] == D.d and manifest["c"] == D.c
     assert manifest["blob"]["seed"] == 0
-
-
-def test_load_reports_missing_column_with_line(tmp_path):
-    D = blob(npc=3)
-    save(D, tmp_path / "ds")
-    csv_path = tmp_path / "ds" / "data.csv"
-    lines = csv_path.read_text().splitlines()
-    lines[0] = lines[0].replace("observed_label", "label")
-    csv_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaError, match="line 1"):
-        load(tmp_path / "ds")
-
-
-def test_load_reports_bad_value_with_line(tmp_path):
-    D = blob(npc=3)
-    save(D, tmp_path / "ds")
-    csv_path = tmp_path / "ds" / "data.csv"
-    lines = csv_path.read_text().splitlines()
-    lines[2] = lines[2].replace(lines[2].split(",")[1], "not_a_number", 1)
-    csv_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaError, match="line 3"):
-        load(tmp_path / "ds")
 
 
 def test_load_rejects_row_count_mismatch(tmp_path):
@@ -405,101 +391,42 @@ def test_load_rejects_row_count_mismatch(tmp_path):
         load(tmp_path / "ds")
 
 
-@pytest.mark.parametrize(
-    "column, value",
-    [("f1", "nan"), ("f0", "-inf"), ("observed_label", "-1"), ("true_label", "3")],
-)
-def test_load_rejects_bad_values_with_line(tmp_path, column, value):
-    save(blob(c=3, npc=3), tmp_path / "ds")
-    csv_path = tmp_path / "ds" / "data.csv"
-    lines = [line.split(",") for line in csv_path.read_text().splitlines()]
-    lines[4][lines[0].index(column)] = value
-    csv_path.write_text("\n".join(",".join(row) for row in lines) + "\n")
-    with pytest.raises(SchemaError, match="line 5") as excinfo:
-        load(tmp_path / "ds")
-    assert excinfo.value.line == 5
+def _record_digest(ds, name):
+    """Write the sha256 of ds's file `name` into its manifest, as save does."""
+    manifest = json.loads((ds / "manifest.json").read_text())
+    digest = hashlib.sha256((ds / name).read_bytes()).hexdigest()
+    manifest[name.replace(".", "_") + "_sha256"] = digest
+    (ds / "manifest.json").write_text(json.dumps(manifest))
 
 
-_CONTRACT_ROWS = ["id,f0,f1,observed_label,true_label", "0,0.5,-1.25,0,0", "1,2,3,1,2", "2,0.125,4,2,2"]
-_CONTRACT_FEATURES = [[0.5, -1.25], [2.0, 3.0], [0.125, 4.0]]
-
-
-def _second_row(text):
-    return _CONTRACT_ROWS[:2] + [text] + _CONTRACT_ROWS[3:]
-
-
-def _inserted(text):
-    return _CONTRACT_ROWS[:2] + [text] + _CONTRACT_ROWS[2:]
+def _forge_data_npy(ds, column, row, value):
+    """Set one cell of ds's data.npy and record the file's new digest, as a
+    faulty writer could: load's value checks then stand alone."""
+    table = np.load(ds / "data.npy")
+    if column.startswith("f"):
+        table["f"][row, int(column[1:])] = value
+    else:
+        table[column][row] = value
+    np.save(ds / "data.npy", table, allow_pickle=False)
+    _record_digest(ds, "data.npy")
 
 
 @pytest.mark.parametrize(
-    "lines, newline, expected",
-    [
-        (_inserted(""), "\n", (3, "line 3: expected 5 fields, got 0")),
-        (_CONTRACT_ROWS[:1] + [""] * 3, "\n", (2, "line 2: expected 5 fields, got 0")),
-        (_CONTRACT_ROWS[:3], "\n", (None, "manifest declares n=3 but data.csv has 2 rows")),
-        (_CONTRACT_ROWS + [""], "\n", (5, "line 5: more than the 3 rows declared in manifest")),
-        (_inserted("   "), "\n", (3, "line 3: expected 5 fields, got 1")),
-        (_inserted("# a comment"), "\n", (3, "line 3: expected 5 fields, got 1")),
-        (_second_row("#1,2,3,1,2"), "\n", (3, "line 3: invalid literal for int() with base 10: '#1'")),
-        (_second_row('1,"2",3,1,2'), "\n", _CONTRACT_FEATURES),
-        (_second_row(" 1 , 2 ,3 ,1 , 2 "), "\n", _CONTRACT_FEATURES),
-        (_second_row("+1,2,3,1,2"), "\n", _CONTRACT_FEATURES),
-        (_second_row("1.0,2,3,1,2"), "\n", (3, "line 3: invalid literal for int() with base 10: '1.0'")),
-        (_second_row("1,1_0,3,1,2"), "\n", [[0.5, -1.25], [10.0, 3.0], [0.125, 4.0]]),
-        (_CONTRACT_ROWS, "\r\n", _CONTRACT_FEATURES),
-        (_second_row("1,1e-400,4.9e-324,1,2"), "\n", [[0.5, -1.25], [0.0, 5e-324], [0.125, 4.0]]),
-        # numpy would read this letter as the integer 462
-        (_second_row("\u01fe,2,3,1,2"), "\n", (3, "line 3: invalid literal for int() with base 10: '\u01fe'")),
-        # Python reads Arabic-Indic digits, numpy does not
-        (_second_row("1,\u0662,3,1,2"), "\n", _CONTRACT_FEATURES),
-        # numpy strips \x1c-\x1f as whitespace, float() does not
-        (_second_row("1,2\x1f,3,1,2"), "\n", (3, "line 3: could not convert string to float: '2\\x1f'")),
-        (_second_row("99999999999999999999,2,3,1,2"), "\n",
-         (3, "line 3: Python int too large to convert to C long")),
-    ],
-    ids=[
-        "blank-line", "blank-body", "short-body", "trailing-blank-line", "whitespace-line", "comment-line",
-        "comment-row", "quoted-number", "space-padded", "plus-id", "float-id",
-        "underscore-digits", "crlf", "underflow-and-subnormal", "non-ascii-id",
-        "non-ascii-digit", "unit-separator", "id-beyond-int64",
-    ],
+    "column, value, problem",
+    [("f1", np.nan, "feature f1 is nan, not finite"),
+     ("f0", -np.inf, "feature f0 is -inf, not finite"),
+     ("observed_label", -1, "manifest declares c=3 but observed_label contains -1"),
+     ("true_label", 3, "manifest declares c=3 but true_label contains 3")],
+    ids=["f1-nan", "f0--inf", "observed_label--1", "true_label-3"],
 )
-def test_load_contract_matches_the_row_parser(tmp_path, lines, newline, expected):
-    # each expectation is what the row-by-row parser alone gives; numpy
-    # must warn about nothing on the way
-    ds = tmp_path / "ds"
-    save(LabeledDataset(features=np.zeros((3, 2)), observed_labels=[0, 1, 2],
-                        ids=[0, 1, 2], c=3, true_labels=[0, 2, 2]), ds)
-    (ds / "data.csv").write_text(newline.join(lines) + newline, newline="")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        if isinstance(expected, tuple):
-            with pytest.raises(SchemaError) as excinfo:
-                load(ds)
-            assert (excinfo.value.line, str(excinfo.value)) == expected
-        else:
-            back = load(ds)
-            assert back.features.tolist() == expected
-            assert back.ids.tolist() == [0, 1, 2]
-            assert back.observed_labels.tolist() == [0, 1, 2]
-            assert back.true_labels.tolist() == [0, 2, 2]
-
-
-def test_load_parses_a_written_data_csv_to_the_data_npy_bits(tmp_path):
-    # without the digests, as a directory saved before data.npy existed;
-    # the CSV parse must give the data.npy path's bits
-    D = corrupt_dataset(blob(npc=30), NoiseSpec(kind="symmetric", ratio=0.3, seed=2))
+def test_load_names_the_row_and_id_of_a_bad_value(tmp_path, column, value, problem):
+    D = blob(c=3, npc=3)
+    D = replace(D, ids=D.ids + 10)  # so that no row's id is its index
     save(D, tmp_path / "ds")
-    from_npy = load(tmp_path / "ds")
-    back = _load_from_data_csv(tmp_path / "ds")
-    _assert_same_bits(back, D)
-    assert np.array_equal(back.features.view(np.uint64), from_npy.features.view(np.uint64))
-    assert back.features.flags.c_contiguous and back.ids.flags.c_contiguous
-
-
-def _refuse(*args):
-    raise AssertionError("parsed data.csv")
+    _forge_data_npy(tmp_path / "ds", column, 3, value)
+    with pytest.raises(SchemaError) as excinfo:
+        load(tmp_path / "ds")
+    assert str(excinfo.value) == f"data.npy row 3 (id 13): {problem}"
 
 
 def _noisy(npc=30):
@@ -513,8 +440,7 @@ def _assert_same_bits(back, D):
     assert np.array_equal(back.true_labels, D.true_labels)
 
 
-def test_load_reads_a_saved_dataset_from_data_npy(tmp_path, monkeypatch):
-    monkeypatch.setattr(data_mod, "_read_csv", _refuse)
+def test_load_reads_a_saved_dataset_from_data_npy(tmp_path):
     D = _noisy()
     save(D, tmp_path / "ds")
     back = load(tmp_path / "ds")
@@ -523,30 +449,28 @@ def test_load_reads_a_saved_dataset_from_data_npy(tmp_path, monkeypatch):
     assert back.features.flags.c_contiguous and back.ids.flags.c_contiguous
 
 
-@pytest.mark.parametrize(
-    "dropped, remove_npy",
-    [(("data_csv_sha256",), False), (("data_npy_sha256",), False), ((), True)],
-    ids=["no-csv-digest", "no-npy-digest", "no-data-npy"],
-)
-def test_load_without_both_digests_parses_data_csv(tmp_path, dropped, remove_npy):
-    # test_load_parses_a_written_data_csv_to_the_data_npy_bits drops both
+@pytest.mark.parametrize("case", list(UNVERIFIABLE))
+def test_load_refuses_a_dataset_it_cannot_verify(tmp_path, case):
+    # no digest, no data.npy or a file changed since save: load parses only
+    # a data.npy the manifest vouches for, and never data.csv
+    ds = tmp_path / "ds"
+    save(_noisy(), ds)
+    edit, cause = UNVERIFIABLE[case]
+    edit(ds)
+    with pytest.raises(SchemaError) as excinfo:
+        load(ds)
+    assert str(excinfo.value) == cause(ds) + BY_HAND
+
+
+def test_load_never_parses_data_csv(tmp_path):
+    # data.csv replaced, and its digest with it: load checks the file but
+    # reads every value from data.npy
     D = _noisy()
     ds = tmp_path / "ds"
     save(D, ds)
-    if remove_npy:
-        (ds / "data.npy").unlink()
-    _assert_same_bits(_load_from_data_csv(ds, dropped), D)
-
-
-def test_load_falls_back_to_data_csv_on_a_damaged_data_npy(tmp_path):
-    D = _noisy()
-    ds = tmp_path / "ds"
-    save(D, ds)
-    raw = bytearray((ds / "data.npy").read_bytes())
-    raw[-D.n * (D.d + 3) * 8 + 8] ^= 0xFF  # the lowest byte of row 0's f0
-    (ds / "data.npy").write_bytes(bytes(raw))
-    assert np.load(ds / "data.npy")["f"][0, 0] != D.features[0, 0]
-    _assert_same_bits(_load_from_data_csv(ds, dropped=()), D)
+    (ds / "data.csv").write_text("not,a,dataset\n")
+    _record_digest(ds, "data.csv")
+    _assert_same_bits(load(ds), D)
 
 
 def _swap_after_first_open(monkeypatch, target, replacement):
@@ -584,7 +508,7 @@ def test_load_never_returns_a_data_npy_swapped_in_after_its_check(tmp_path, monk
                                      tmp_path / "other" / "data.npy")
     back = load(tmp_path / "ds")
     assert swapped
-    # the verified rows, from data.npy or data.csv, never the swapped table
+    # the verified rows, never the swapped table
     _assert_same_bits(back, D)
 
 
@@ -639,9 +563,9 @@ def test_empty_dataset_round_trip_emits_no_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         save(D, tmp_path / "ds")
-        backs = (load(tmp_path / "ds"), _load_from_data_csv(tmp_path / "ds"))
-    for back in backs:
-        assert back.n == 0 and back.d == 3 and back.true_labels.shape == (0,)
+        back = load(tmp_path / "ds")
+        _assert_data_csv_holds(tmp_path / "ds", D)
+    assert back.n == 0 and back.d == 3 and back.true_labels.shape == (0,)
 
 
 _float_bits = st.one_of(
@@ -661,11 +585,9 @@ def test_save_load_round_trips_float_bit_patterns(bits, tmp_path_factory):
                        ids=np.arange(len(features)), c=2)
     ds = tmp_path_factory.mktemp("ds") / "ds"
     save(D, ds)
-    for back in (load(ds), _load_from_data_csv(ds)):
-        assert np.array_equal(back.features.view(np.uint64), features.view(np.uint64))
-    # data.csv's parser, called directly, reads the same bits
-    ref = data_mod._read_csv(ds / "data.csv", D.n, D.d)
-    assert np.array_equal(ref[1].view(np.uint64), features.view(np.uint64))
+    back = load(ds)
+    assert np.array_equal(back.features.view(np.uint64), features.view(np.uint64))
+    _assert_data_csv_holds(ds, D)
 
 
 _special_bits = st.sampled_from(
@@ -960,32 +882,12 @@ def test_save_from_source_splices_with_and_without_true_labels(tmp_path, source_
     _assert_source_save(D2, tmp_path / "src", tmp_path, spliced=True)
 
 
-def _edit_data_csv(ds, D):
-    # the first feature of the first row, as a hand edit after save would
-    lines = (ds / "data.csv").read_text().split("\n")
-    fields = lines[1].split(",")
-    fields[1] = "99"
-    lines[1] = ",".join(fields)
-    (ds / "data.csv").write_text("\n".join(lines))
-    return D
-
-
-def _drop_manifest_keys(*keys):
-    def drop(ds, D):
-        manifest = json.loads((ds / "manifest.json").read_text())
-        for key in keys:
-            del manifest[key]
-        data_mod.write_json(ds / "manifest.json", manifest)
+def _by_hand(case):
+    def edit(ds, D):
+        UNVERIFIABLE[case][0](ds)
         return D
 
-    return drop
-
-
-def _damage_data_npy(ds, D):
-    raw = bytearray((ds / "data.npy").read_bytes())
-    raw[-1] ^= 0xFF  # the last row's last label
-    (ds / "data.npy").write_bytes(bytes(raw))
-    return D
+    return edit
 
 
 def _negate_zero(ds, D):
@@ -1011,11 +913,8 @@ def _remove_source(ds, D):
 
 @pytest.mark.parametrize(
     "edit",
-    [_edit_data_csv, _drop_manifest_keys(*_DIGESTS), _drop_manifest_keys("data_csv_sha256"),
-     _drop_manifest_keys("data_npy_sha256"), _damage_data_npy, _negate_zero, _reverse_rows,
-     _shift_ids, _remove_source],
-    ids=["edited-data-csv", "no-digests", "no-csv-digest", "no-npy-digest", "damaged-data-npy",
-         "signed-zero", "row-order", "other-ids", "no-source"],
+    [*map(_by_hand, UNVERIFIABLE), _negate_zero, _reverse_rows, _shift_ids, _remove_source],
+    ids=[*UNVERIFIABLE, "signed-zero", "row-order", "other-ids", "no-source"],
 )
 def test_save_from_an_unverified_source_formats_every_row(tmp_path, edit):
     D = _noisy()
@@ -1096,12 +995,16 @@ def test_load_names_missing_manifest_field(tmp_path, key, nested, name):
      ("noise", "seed", True, "field 'noise.seed': True is not an integer that fits int64"),
      ("noise", "mapping", [1.5, 2, 0],
       "field 'noise.mapping': 1.5 is not an integer that fits int64"),
+     ("noise", "mapping", "120", "field 'noise.mapping': '120' is not a list of integers"),
+     ("noise", "mapping", {"1": 0, "2": 1, "0": 2},
+      "field 'noise.mapping': {'1': 0, '2': 1, '0': 2} is not a list of integers"),
      ("noise", "kind", 5, "field 'noise.kind': 5 is not a string"),
      ("noise", "ratio", 1.5, "field 'noise': noise ratio must be in [0, 1], got 1.5"),
      ("noise", None, "symmetric", "field 'noise': 'symmetric' is not a JSON object"),
      ("noise", None, {}, "missing field 'noise.kind'")],
     ids=["blob.c", "blob.seed", "blob.n_per_class", "noise.ratio", "noise.seed",
-         "noise.mapping", "noise.kind", "noise.ratio-range", "noise-string", "noise-empty"],
+         "noise.mapping", "noise.mapping-string", "noise.mapping-object", "noise.kind",
+         "noise.ratio-range", "noise-string", "noise-empty"],
 )
 def test_load_names_a_manifest_spec_field_of_the_wrong_type(tmp_path, key, field, value, problem):
     # int() and float() read 2.7, true, "7" and "0.2" as 2, 1, 7 and 0.2, a
@@ -1189,6 +1092,7 @@ def test_save_load_property_round_trip(seed, tmp_path_factory):
         NoiseSpec(kind="symmetric", ratio=(seed % 5) / 10, seed=seed),
     )
     save(D, tmp / "ds")
-    for back in (load(tmp / "ds"), _load_from_data_csv(tmp / "ds")):
-        assert np.array_equal(back.features, D.features)
-        assert np.array_equal(back.observed_labels, D.observed_labels)
+    back = load(tmp / "ds")
+    assert np.array_equal(back.features, D.features)
+    assert np.array_equal(back.observed_labels, D.observed_labels)
+    _assert_data_csv_holds(tmp / "ds", D)

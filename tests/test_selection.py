@@ -511,6 +511,14 @@ def test_metrics_reject_foreign_ids():
         selection_metrics([0, 99], D)
 
 
+@pytest.mark.parametrize("ids", [[0.5, 1.9], [[0, 1]], [True]], ids=["fractions", "column", "bool"])
+def test_metrics_refuse_ids_that_are_not_1d_whole_numbers(ids):
+    # a cast to int64 scored [0.5, 1.9] as the ids 0 and 1
+    D, _ = metrics_hand_case()
+    with pytest.raises(ValueError, match="^selected_ids must be 1-d whole numbers, got "):
+        selection_metrics(ids, D)
+
+
 def test_metrics_undefined_for_empty_selection():
     D, _ = metrics_hand_case()
     with pytest.raises(UndefinedMetricError, match="empty selection"):
