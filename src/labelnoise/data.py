@@ -30,13 +30,13 @@ makes one call of each formatter, one on its in-range rows and one on
 the rest, and puts each row's line back at its place, so data whose rows
 mostly fall back saves about as fast as when every row took %.
 
-Given the directory a dataset was derived from with its ids and features
-unchanged (`corrupt` relabels its input), `save` copies each row's id and
-feature text from that directory's data.csv instead of formatting it
-again, but only after both of its files match their manifest digests and
-its data.npy holds the same ids and feature bits; those rows are then the
-text `save` wrote for these very values, so the output bytes do not
-depend on which path ran.
+`relabel`, `corrupt`'s I/O, reads each file of a saved dataset once: data.npy
+through `load`'s digest check, and data.csv a block at a time, hashed from
+the very bytes whose id and feature text it copies ahead of the new labels.
+That text is what `save` wrote for these ids and feature bits, so the bytes
+are those `save` writes. `_write` puts data.csv in place after its last
+row, so the input may be the output, and an input data.csv that fails its
+digest leaves the output's as it was.
 
 `load` parses data.npy and nothing else, once the manifest records both
 digests and both files on disk still hash to them; a directory without
@@ -55,7 +55,7 @@ import io
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Optional
 
@@ -257,16 +257,15 @@ def split_per_class(
     if D.true_labels is None:
         raise ValueError("per-class split needs true labels")
     order = np.argsort(D.ids, kind="stable")
-    first_rows = []
+    first = np.zeros(D.n, dtype=bool)  # by row, so both halves keep the stored order
     for i in range(D.c):
         rows = order[D.true_labels[order] == i]
         if len(rows) < per_class:
             raise ValueError(
                 f"class {i} has only {len(rows)} samples, need {per_class}"
             )
-        first_rows.append(rows[:per_class])
-    first_ids = D.ids[np.concatenate(first_rows)]
-    return D.subset(first_ids), D.subset(np.setdiff1d(D.ids, first_ids))
+        first[rows[:per_class]] = True
+    return D._take(np.flatnonzero(first)), D._take(np.flatnonzero(~first))
 
 
 def format_float(x) -> str:
@@ -361,20 +360,32 @@ def _null_non_finite(value):
     return value
 
 
-def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) -> None:
+def save(D: LabeledDataset, path: str | Path) -> None:
     """Write data.csv with the bytes write_csv would give the same rows,
     block by block, by numpy arithmetic where every cell of a row is in
-    range and Python's % elsewhere (`_formatted_rows`). Then write
-    the same rows to data.npy, and the sha256 of both files to the
-    manifest, which `load` checks before it trusts data.npy.
+    range and Python's % elsewhere (`_formatted_rows`). Then write the
+    same rows to data.npy, and the sha256 of both files to the manifest,
+    which `load` checks before it trusts data.npy."""
+    labels = (D.observed_labels,) + ((D.true_labels,) if D.true_labels is not None else ())
+    _write(D, Path(path), _formatted_rows(D, labels))
 
-    `source` names a saved dataset directory D was derived from with its
-    ids and features unchanged (`corrupt` passes its input). When
-    `_source_csv` verifies it, each row is the source data.csv's text up to
-    the comma before observed_label, then D's labels. That text is what
-    save formatted from these very ids and feature bits, so the bytes are
-    those of formatting every row, which save does otherwise."""
-    path = Path(path)
+
+def relabel(source: str | Path, out: str | Path, spec: NoiseSpec) -> LabeledDataset:
+    """The dataset saved at source with labels redrawn by corrupt_dataset,
+    written to out (which may be source) with the bytes save writes, and
+    returned; an input that fails a digest raises load's SchemaError."""
+    source = Path(source)
+    D, manifest = _read(source)
+    noisy = corrupt_dataset(D, spec)
+    labels = (noisy.observed_labels, noisy.true_labels)
+    _write(noisy, Path(out), _spliced_rows(source / "data.csv", manifest, labels))
+    return noisy
+
+
+def _write(D: LabeledDataset, path: Path, rows) -> None:
+    """Write D to path: data.csv from its header and `rows` (blocks of
+    bytes), through a part file that replaces the old one after the last
+    block, then data.npy and the manifest with both files' sha256."""
     path.mkdir(parents=True, exist_ok=True)
     header = (
         ["id"]
@@ -382,26 +393,20 @@ def save(D: LabeledDataset, path: str | Path, source: str | Path | None = None) 
         + ["observed_label"]
         + (["true_label"] if D.true_labels is not None else [])
     )
-    labels = (D.observed_labels,) + ((D.true_labels,) if D.true_labels is not None else ())
-    spliced = None if source is None else _source_csv(D, path, Path(source))
     import hashlib  # see _sha256
 
     csv_digest = hashlib.sha256()
-    with open(path / "data.csv", "wb") as fh:
-        # data.csv is hashed as it is written, not read back
-        def write(blocks):
-            for block in blocks:
+    part = path / "data.csv.part"
+    try:
+        with open(part, "wb") as fh:
+            # data.csv is hashed as it is written, not read back
+            for block in chain([(",".join(header) + "\n").encode()], rows):
                 fh.write(block)
                 csv_digest.update(block)
-
-        write([(",".join(header) + "\n").encode()])
-        if spliced is None:
-            write(_formatted_rows(D, labels))
-        else:
-            source_csv, source_labels = spliced
-            with open(source_csv, "rb") as src:
-                src.readline()  # the source's header; D's was written above
-                write(_spliced_rows(src, source_labels, labels))
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(path / "data.csv")
     table = np.empty(D.n, dtype=_npy_dtype(D.d, D.true_labels is not None))
     table["id"] = D.ids
     table["f"] = D.features
@@ -571,34 +576,23 @@ def _python_rows(fmt: str, ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> byt
                     for i, xr, yr in zip(ids.tolist(), x.tolist(), y.tolist())]).encode()
 
 
-def _spliced_rows(src, source_labels: int, labels: tuple):
-    """Each row of `src` (source data.csv past its header, read as bytes)
-    without its `source_labels` label fields, followed by the fields of
-    `labels`; 1,024 rows to a block of bytes."""
+def _spliced_rows(source_csv: Path, manifest: dict, labels: tuple):
+    """The rows of the saved data.csv at source_csv, each without its two
+    label fields and followed by the fields of `labels`, 1,024 rows to a
+    block of bytes; read once, hashed as read, and checked against the
+    manifest's digest after the last block."""
+    import hashlib  # see _sha256
+
+    digest = hashlib.sha256()
     suffix = b",%d" * len(labels) + b"\n"
-    rows = zip(zip(*(col.tolist() for col in labels)), src)
-    while block := list(islice(rows, _ROW_BLOCK)):
-        yield b"".join([line.rsplit(b",", source_labels)[0] + suffix % y for y, line in block])
-
-
-def _source_csv(D: LabeledDataset, path: Path, source: Path):
-    """(source data.csv, its count of label columns) when `_verified_npy`
-    reads the source (so its files are one save's output, as `load` trusts
-    too) and its data.npy holds D's ids and features byte for byte, else
-    None. Bytes, not ==: -0.0 formats as -0 and 0.0 as 0. Never the
-    data.csv about to be written, which opening it for writing would
-    truncate."""
-    source_csv, dest = source / "data.csv", path / "data.csv"
-    try:
-        if dest.exists() and dest.samefile(source_csv):
-            return None
-        manifest = json.loads((source / "manifest.json").read_text())
-        columns = _verified_npy(source, manifest, D.n, D.d)
-    except (OSError, ValueError):  # ValueError covers json's and the SchemaErrors
-        return None
-    if columns[0].tobytes() != D.ids.tobytes() or columns[1].tobytes() != D.features.tobytes():
-        return None
-    return source_csv, 1 if columns[3] is None else 2
+    with open(source_csv, "rb") as src:
+        digest.update(src.readline())  # the header; _write writes its own
+        rows = zip(zip(*(col.tolist() for col in labels)), src)
+        while block := list(islice(rows, _ROW_BLOCK)):
+            digest.update(b"".join([line for _, line in block]))
+            yield b"".join([line.rsplit(b",", 2)[0] + suffix % y for y, line in block])
+        digest.update(src.read())  # nothing follows the n rows of a saved file
+    _check_digest(source_csv, manifest, digest.hexdigest())
 
 
 def _npy_dtype(d: int, has_true: bool) -> np.dtype:
@@ -621,6 +615,14 @@ def _sha256(path: Path) -> str:
 
 def load(path: str | Path) -> LabeledDataset:
     path = Path(path)
+    D, manifest = _read(path)
+    _check_digest(path / "data.csv", manifest, _sha256(path / "data.csv"))
+    return D
+
+
+def _read(path: Path) -> tuple[LabeledDataset, dict]:
+    """The dataset at path and its manifest, once the manifest is valid and
+    data.npy matches its digest; checking data.csv's is the caller's."""
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {path}")
@@ -683,19 +685,26 @@ def load(path: str | Path) -> LabeledDataset:
         true_labels=true,
         noise=specs["noise"],
         blob=specs["blob"],
-    )
+    ), manifest
 
 
 _BY_HAND = "; datasets are changed with labelnoise.save, not by hand"
 
 
+def _check_digest(file: Path, manifest: dict, digest: str) -> None:
+    """A SchemaError unless digest is the sha256 the manifest records for file."""
+    key = file.name.replace(".", "_") + "_sha256"
+    if digest != manifest[key]:
+        raise SchemaError(f"{file}: sha256 does not match manifest.json's {key}{_BY_HAND}")
+
+
 def _verified_npy(path: Path, manifest: dict, n: int, d: int):
     """The columns of path's data.npy, once the manifest records both
-    digests and both files hash to them; otherwise a SchemaError names the
-    file and the cause. data.npy is read once, and its columns come from
-    the bytes that were hashed, so a file replaced after the check is never
-    parsed. Its header must give the manifest's d and n, or a SchemaError
-    says which differs."""
+    digests and data.npy hashes to its own; otherwise a SchemaError names
+    the file and the cause. data.npy is read once, and its columns come
+    from the bytes that were hashed, so a file replaced after the check is
+    never parsed. Its header must give the manifest's d and n, or a
+    SchemaError says which differs."""
     for key in ("data_npy_sha256", "data_csv_sha256"):
         if key not in manifest:
             raise SchemaError(f"manifest.json: missing field {key!r}{_BY_HAND}")
@@ -705,13 +714,7 @@ def _verified_npy(path: Path, manifest: dict, n: int, d: int):
         raise SchemaError(f"{path / 'data.npy'}: no such file{_BY_HAND}") from None
     import hashlib  # see _sha256
 
-    for name, digest in (("data.npy", hashlib.sha256(raw).hexdigest()),
-                         ("data.csv", _sha256(path / "data.csv"))):
-        key = name.replace(".", "_") + "_sha256"
-        if digest != manifest[key]:
-            raise SchemaError(
-                f"{path / name}: sha256 does not match manifest.json's {key}{_BY_HAND}"
-            )
+    _check_digest(path / "data.npy", manifest, hashlib.sha256(raw).hexdigest())
     fh = io.BytesIO(raw)
     if np.lib.format.read_magic(fh) == (1, 0):
         shape, _, dtype = np.lib.format.read_array_header_1_0(fh)

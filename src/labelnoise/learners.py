@@ -628,10 +628,13 @@ def _probabilities(params, hidden, X):
 
 
 def _check_loss(loss, who: str = "") -> None:
-    """Reject a non-finite or runaway batch loss; a stacked loss names the member."""
+    """Reject a non-finite or runaway batch loss. A stacked loss is checked
+    in one pass, and only a failing one is checked member by member, to
+    name the member."""
     if loss.ndim:
-        for i, value in enumerate(loss):
-            _check_loss(value, f"member {i + 1} of {len(loss)}: ")
+        if not all([-math.inf < value <= DIVERGENCE_LIMIT for value in loss.tolist()]):
+            for i, value in enumerate(loss):
+                _check_loss(value, f"member {i + 1} of {len(loss)}: ")
     elif not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
         raise DivergenceError(f"{who}batch loss {loss} is not finite or exceeds limit")
 

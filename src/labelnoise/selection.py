@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import LabeledDataset, json_float, json_int, json_record, json_str, split_half
+from .data import (LabeledDataset, _sorted_unique, json_float, json_int, json_record,
+                   json_str, split_half)
 from .learners import LearnerFactory, SoftmaxLearner, train_stacked
 from .noise import integer_vector
 from .theory import estimate_epsilon_asymmetric, estimate_epsilon_symmetric
@@ -53,17 +54,19 @@ class SelectionResult:
     halt_reason: Optional[str] = None
 
     def __post_init__(self):
-        s, c, r = (set(self.selected), set(self.candidate), set(self.removed))
-        if s & c or s & r or c & r:
+        # each list's distinct ids, then no id in two lists
+        ids = np.concatenate([_sorted_unique(np.asarray(v, dtype=np.int64))
+                              for v in (self.selected, self.candidate, self.removed)])
+        if len(_sorted_unique(ids)) < len(ids):
             raise ValueError("selected, candidate, and removed ids must be disjoint")
         if not 0.0 <= self.epsilon_hat <= 1.0:
             raise ValueError(f"epsilon_hat must lie in [0, 1], got {self.epsilon_hat}")
 
     def to_json_dict(self) -> dict:
         return {
-            "selected": [int(i) for i in self.selected],
-            "candidate": [int(i) for i in self.candidate],
-            "removed": [int(i) for i in self.removed],
+            "selected": np.asarray(self.selected, dtype=np.int64).tolist(),
+            "candidate": np.asarray(self.candidate, dtype=np.int64).tolist(),
+            "removed": np.asarray(self.removed, dtype=np.int64).tolist(),
             "epsilon_hat": float(self.epsilon_hat),
             "history": [asdict(h) for h in self.history],
             "halt_reason": self.halt_reason,
@@ -123,6 +126,11 @@ def _train_folds(D: LabeledDataset, learners, train_ids) -> None:
         return
     for learner, ids in zip(learners, train_ids):
         learner.train(D.subset(ids))
+
+
+def _union(*ids: np.ndarray) -> np.ndarray:
+    """np.union1d of the id arrays, by data._sorted_unique."""
+    return _sorted_unique(np.concatenate(ids))
 
 
 def _fold_outcome(
@@ -198,7 +206,7 @@ def incv(
         C1, C2 = split_half(D.subset(candidate), seed=split_seed)
         r_now = 0.0 if (auto_r and iteration == 1) else remove_ratio
         f1, f2 = learner_factory(seed1), learner_factory(seed2)
-        _train_folds(D, (f1, f2), (np.union1d(selected, C1.ids), np.union1d(selected, C2.ids)))
+        _train_folds(D, (f1, f2), (_union(selected, C1.ids), _union(selected, C2.ids)))
         s1, r1, acc1 = _fold_outcome(f1, C2, r_now)
         s2, r2, acc2 = _fold_outcome(f2, C1, r_now)
         if iteration == 1:
@@ -212,10 +220,9 @@ def incv(
         history.append(
             IterationRecord(iteration, len(s1), len(s2), len(r1), len(r2), acc1, acc2)
         )
-        selected = np.union1d(selected, np.union1d(s1, s2))
-        taken = np.union1d(np.union1d(s1, s2), np.union1d(r1, r2))
-        candidate = np.setdiff1d(candidate, taken, assume_unique=True)
-        removed = np.union1d(removed, np.union1d(r1, r2))
+        selected = _union(selected, s1, s2)
+        candidate = np.setdiff1d(candidate, _union(s1, s2, r1, r2), assume_unique=True)
+        removed = _union(removed, r1, r2)
 
     return SelectionResult(
         selected=selected,

@@ -1,4 +1,7 @@
+import builtins
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,18 +311,61 @@ def test_corrupt_mapping_usage_errors_exit_2(tmp_path, capsys, noise, mapping):
     assert not out.exists()
 
 
-def test_corrupt_saves_with_its_input_as_the_source(tmp_path, monkeypatch):
+def test_corrupt_reads_and_hashes_each_input_file_once(tmp_path, monkeypatch):
     src = make_input(tmp_path)
     out = tmp_path / "noisy"
-    calls = []
-    save = data_mod.save
-    monkeypatch.setattr(data_mod, "save", lambda *a, **kw: calls.append((a, kw)) or save(*a, **kw))
+    real_open, real_sha256 = builtins.open, hashlib.sha256
+    opened, hashed = [], []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and "r" in mode:
+            opened.append(Path(file).resolve())
+        return real_open(file, mode, *args, **kwargs)
+
+    class CountingSha256:
+        def __init__(self, data=b""):
+            self._digest = real_sha256(data)
+            hashed.append(len(data))
+
+        def update(self, data):
+            hashed.append(len(data))
+            self._digest.update(data)
+
+        def hexdigest(self):
+            return self._digest.hexdigest()
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)  # pathlib opens through io.open
+    monkeypatch.setattr(hashlib, "sha256", CountingSha256)
     assert run("corrupt", "--in", src, "--noise", "symmetric", "--ratio", 0.3,
                "--out", out) == 0
-    # the output directory stays the second positional argument, where
-    # perfbench's tracer reads it
-    [(args, kwargs)] = calls
-    assert args[1] == out and kwargs == {"source": str(src)}
+    monkeypatch.undo()
+    inputs = [(src / name).resolve() for name in ("data.csv", "data.npy", "manifest.json")]
+    assert sorted(path for path in opened if path.parent == src.resolve()) == sorted(inputs)
+    # each input file is hashed once, as is each written file
+    assert sum(hashed) == sum((ds / name).stat().st_size
+                              for ds in (src, out) for name in ("data.csv", "data.npy"))
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "null"])
+def test_corrupt_names_an_input_manifest_that_is_not_a_json_object(tmp_path, capsys, text):
+    src = make_input(tmp_path)
+    (src / "manifest.json").write_text(text)
+    assert run("corrupt", "--in", src, "--noise", "symmetric", "--ratio", 0.3,
+               "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {src / 'manifest.json'}: not a JSON object"]
+
+
+@pytest.mark.parametrize("case", list(UNVERIFIABLE))
+def test_corrupt_refuses_an_input_it_cannot_verify_with_one_error_line(tmp_path, capsys, case):
+    src = make_input(tmp_path)
+    edit, cause = UNVERIFIABLE[case]
+    edit(src)
+    assert run("corrupt", "--in", src, "--noise", "symmetric", "--ratio", 0.3,
+               "--out", tmp_path / "o") == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {cause(src)}{BY_HAND}"]
+    assert list((tmp_path / "o").glob("*")) == []
 
 
 def test_corrupt_in_place_writes_what_a_fresh_directory_gets(tmp_path):

@@ -288,6 +288,18 @@ def test_split_per_class_counts_and_disjoint():
         split_per_class(D, 11)
 
 
+def test_split_per_class_keeps_the_stored_row_order_in_both_halves():
+    # rows stored out of id order: each class's first ids go to the first
+    # half, and both halves list their rows as D stores them
+    D = blob(c=3, npc=10)._take(np.random.default_rng(5).permutation(30))
+    tr, te = split_per_class(D, 4)
+    order = np.argsort(D.ids, kind="stable")
+    first = np.concatenate([order[D.true_labels[order] == i][:4] for i in range(3)])
+    assert np.array_equal(tr.ids, D.ids[np.sort(first)])
+    assert np.array_equal(te.ids, D.ids[np.setdiff1d(np.arange(30), first)])
+    assert np.array_equal(tr.features, D.features[np.sort(first)])
+
+
 def _assert_data_csv_holds(ds, D):
     """ds's data.csv, parsed with csv.reader, int() and float(), holds D's
     rows bit for bit. load never parses data.csv, so its text is checked
@@ -812,32 +824,37 @@ def _refused(name):
     return refuse
 
 
-def _assert_source_save(D2, src, tmp, spliced, out=None):
-    """save(D2, out, source=src) writes the three files save(D2) writes
-    elsewhere, through the splice when `spliced` and through the format
-    path when not: the other path is patched to raise."""
-    out = out or tmp / "from_source"
-    save(D2, tmp / "formatted")
-    refused = "_formatted_rows" if spliced else "_spliced_rows"
+def _assert_relabel_writes_what_save_writes(D, src, tmp, out=None):
+    """relabel(src, out), src holding D as saved, writes the three files
+    save writes for D relabelled, with save's row formatter patched to
+    raise: every row is spliced from src's data.csv."""
+    expected = corrupt_dataset(D, _NEW_NOISE)
+    save(expected, tmp / "formatted")
+    out = out or tmp / "relabelled"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data_mod, refused, _refused(refused))
-        save(D2, out, source=src)
+        mp.setattr(data_mod, "_formatted_rows", _refused("_formatted_rows"))
+        noisy = data_mod.relabel(src, out, _NEW_NOISE)
+    _assert_same_bits(noisy, expected)
+    assert noisy.noise == _NEW_NOISE
     for name in _DATASET_FILES:
         assert (out / name).read_bytes() == (tmp / "formatted" / name).read_bytes()
 
 
-@pytest.mark.parametrize("from_source", [False, True], ids=["formatted", "spliced"])
-def test_save_hashes_data_csv_as_it_writes_it(tmp_path, from_source):
+@pytest.mark.parametrize("spliced", [False, True], ids=["formatted", "spliced"])
+def test_save_hashes_data_csv_as_it_writes_it(tmp_path, spliced):
     D = _noisy()
     save(D, tmp_path / "src")
     hashed = []
     sha256 = data_mod._sha256
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_mod, "_sha256", lambda path: hashed.append(path) or sha256(path))
-        save(replace(D, noise=_NEW_NOISE), tmp_path / "out",
-             source=tmp_path / "src" if from_source else None)
-    # only a source's files are hashed, to verify them before the splice
-    assert tmp_path / "out" / "data.csv" not in hashed
+        if spliced:
+            data_mod.relabel(tmp_path / "src", tmp_path / "out", _NEW_NOISE)
+        else:
+            save(replace(D, noise=_NEW_NOISE), tmp_path / "out")
+    # no data.csv is read back to be hashed: the output is hashed as it is
+    # written, and relabel's input as it is spliced
+    assert [path for path in hashed if path.name == "data.csv"] == []
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["data_csv_sha256"] == sha256(tmp_path / "out" / "data.csv")
 
@@ -845,106 +862,111 @@ def test_save_hashes_data_csv_as_it_writes_it(tmp_path, from_source):
 _NEW_NOISE = NoiseSpec(kind="symmetric", ratio=0.5, seed=1)
 
 
+def _finite(bits):
+    return bits.filter(lambda b: math.isfinite(struct.unpack("<d", struct.pack("<Q", b))[0]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), d=st.integers(min_value=0, max_value=4),
-       source_truth=st.booleans(), truth=st.booleans())
-def test_save_from_source_writes_the_formatted_bytes(data, d, source_truth, truth,
-                                                      tmp_path_factory):
-    # arbitrary float64 bit patterns: -0.0, subnormals, extreme exponents,
-    # NaN and infinities; save copies the source's text for all of them
+@given(data=st.data(), d=st.integers(min_value=1, max_value=4))
+def test_relabel_writes_the_formatted_bytes(data, d, tmp_path_factory):
+    # arbitrary finite float64 bit patterns: -0.0, subnormals and extreme
+    # exponents; relabel copies the input's text for all of them
     ids = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), unique=True, max_size=12))
     n = len(ids)
-    bits = data.draw(st.lists(_float_bits | _special_bits, min_size=n * d, max_size=n * d))
+    bits = data.draw(st.lists(_finite(_float_bits | _special_bits),
+                              min_size=n * d, max_size=n * d))
     labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
-    src = LabeledDataset(
+    D = LabeledDataset(
         features=np.array(bits, dtype=np.uint64).view(np.float64).reshape(n, d),
         observed_labels=data.draw(labels),
         ids=ids,
         c=3,
-        true_labels=data.draw(labels) if source_truth else None,
+        true_labels=data.draw(labels),
     )
     tmp = tmp_path_factory.mktemp("ds")
-    save(src, tmp / "src")
-    D2 = replace(src, observed_labels=data.draw(labels),
-                 true_labels=data.draw(labels) if truth else None, noise=_NEW_NOISE)
-    _assert_source_save(D2, tmp / "src", tmp, spliced=True)
+    save(D, tmp / "src")
+    _assert_relabel_writes_what_save_writes(D, tmp / "src", tmp)
 
 
-@pytest.mark.parametrize("source_truth", [True, False], ids=["source-truth", "source-no-truth"])
-@pytest.mark.parametrize("truth", [True, False], ids=["truth", "no-truth"])
-def test_save_from_source_splices_with_and_without_true_labels(tmp_path, source_truth, truth):
-    D = _noisy()
-    src = D if source_truth else replace(D, true_labels=None)
-    save(src, tmp_path / "src")
-    D2 = corrupt_dataset(D, _NEW_NOISE)
-    if not truth:
-        D2 = replace(D2, true_labels=None)
-    _assert_source_save(D2, tmp_path / "src", tmp_path, spliced=True)
-
-
-def _by_hand(case):
-    def edit(ds, D):
-        UNVERIFIABLE[case][0](ds)
-        return D
-
-    return edit
-
-
-def _negate_zero(ds, D):
-    # the source holds 0.0 here, which formats as 0; -0.0 formats as -0
-    features = D.features.copy()
-    features[0, 0] = -0.0
-    return replace(D, features=features)
-
-
-def _reverse_rows(ds, D):
-    return D._take(np.arange(D.n)[::-1])
-
-
-def _shift_ids(ds, D):
-    return replace(D, ids=D.ids + D.n)
-
-
-def _remove_source(ds, D):
-    for name in _DATASET_FILES:
-        (ds / name).unlink()
-    return D
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [*map(_by_hand, UNVERIFIABLE), _negate_zero, _reverse_rows, _shift_ids, _remove_source],
-    ids=[*UNVERIFIABLE, "signed-zero", "row-order", "other-ids", "no-source"],
-)
-def test_save_from_an_unverified_source_formats_every_row(tmp_path, edit):
-    D = _noisy()
-    features = D.features.copy()
-    features[0, 0] = 0.0
-    D = replace(D, features=features)
-    save(D, tmp_path / "src")
-    D2 = corrupt_dataset(edit(tmp_path / "src", D), _NEW_NOISE)
-    _assert_source_save(D2, tmp_path / "src", tmp_path, spliced=False)
-
-
-def test_save_over_its_own_source_formats_every_row(tmp_path):
-    # opening data.csv for writing would truncate the text to be copied
+def test_relabel_over_its_input_writes_what_a_fresh_directory_gets(tmp_path):
+    # data.csv is written beside the input's and replaces it after the last row
     D = _noisy()
     save(D, tmp_path / "ds")
-    D2 = corrupt_dataset(D, _NEW_NOISE)
-    _assert_source_save(D2, tmp_path / "ds", tmp_path, spliced=False, out=tmp_path / "ds")
+    _assert_relabel_writes_what_save_writes(D, tmp_path / "ds", tmp_path, out=tmp_path / "ds")
+    assert sorted(path.name for path in (tmp_path / "ds").iterdir()) == sorted(_DATASET_FILES)
 
 
-def test_save_never_splices_from_a_data_npy_swapped_in_after_its_check(tmp_path, monkeypatch):
-    # the swapped-in table matches D2's features, the source's data.csv
-    # does not: a splice would write the source's feature text
+@pytest.mark.parametrize("name", ["data.npy", "data.csv"])
+def test_relabel_never_splices_from_a_file_swapped_in_after_its_check(tmp_path, monkeypatch, name):
+    # the swapped-in files hold other feature bits and text, which a
+    # second read of either input file would copy or check
     D = _noisy()
     save(D, tmp_path / "src")
     save(_shifted(D), tmp_path / "other")
-    D2 = corrupt_dataset(_shifted(D), _NEW_NOISE)
-    swapped = _swap_after_first_open(monkeypatch, tmp_path / "src" / "data.npy",
-                                     tmp_path / "other" / "data.npy")
-    _assert_source_save(D2, tmp_path / "src", tmp_path, spliced=False)
+    save(corrupt_dataset(D, _NEW_NOISE), tmp_path / "formatted")
+    swapped = _swap_after_first_open(monkeypatch, tmp_path / "src" / name,
+                                     tmp_path / "other" / name)
+    data_mod.relabel(tmp_path / "src", tmp_path / "out", _NEW_NOISE)
     assert swapped
+    for file in _DATASET_FILES:
+        expected = (tmp_path / "formatted" / file).read_bytes()
+        assert (tmp_path / "out" / file).read_bytes() == expected
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in-place"])
+@pytest.mark.parametrize("case", list(UNVERIFIABLE))
+def test_relabel_refuses_an_input_it_cannot_verify_and_changes_nothing(tmp_path, case, in_place):
+    # the error load raises; an edited data.csv is found once it is read
+    # through, and the output's data.csv is then left as it was
+    ds = tmp_path / "ds"
+    save(_noisy(), ds)
+    edit, cause = UNVERIFIABLE[case]
+    edit(ds)
+    before = {path.name: path.read_bytes() for path in ds.iterdir()}
+    out = ds if in_place else tmp_path / "out"
+    with pytest.raises(SchemaError) as excinfo:
+        data_mod.relabel(ds, out, _NEW_NOISE)
+    assert str(excinfo.value) == cause(ds) + BY_HAND
+    assert {path.name: path.read_bytes() for path in ds.iterdir()} == before
+    assert in_place or list(out.glob("*")) == []
+
+
+def test_relabel_refuses_a_data_csv_with_text_after_its_rows(tmp_path):
+    # the splice stops after n rows, and the rest of the file is hashed too
+    ds = tmp_path / "ds"
+    save(_noisy(), ds)
+    with open(ds / "data.csv", "ab") as fh:
+        fh.write(b"0,1.5,2.5,0,0\n")
+    with pytest.raises(SchemaError) as excinfo:
+        data_mod.relabel(ds, tmp_path / "out", _NEW_NOISE)
+    assert str(excinfo.value) == UNVERIFIABLE["edited-data-csv"][1](ds) + BY_HAND
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+def _traced_spliced_rows(path, D):
+    manifest = json.loads((path / "manifest.json").read_text())
+    tracemalloc.start()
+    try:
+        with open(path / "out.csv", "wb") as fh:
+            fh.writelines(data_mod._spliced_rows(path / "data.csv", manifest,
+                                                 (D.observed_labels, D.true_labels)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_relabel_holds_its_input_data_csv_a_block_at_a_time(tmp_path):
+    # the splice holds a block of lines and one Python int per label cell
+    # (small ints are shared, so 8 bytes each), never the whole input file
+    D = make_blobs(BlobSpec(c=4, d=32, n_per_class=8192, separation=3.5, spread=1.0, seed=4))
+    peaks = []
+    for rows in (8192, D.n):
+        E = D._take(np.arange(rows))
+        save(E, tmp_path / str(rows))
+        peaks.append(_traced_spliced_rows(tmp_path / str(rows), E))
+    grown = D.n - 8192
+    assert peaks[1] - peaks[0] <= 2 * 8 * grown + 64 * 1024, peaks
+    assert (tmp_path / str(D.n) / "data.csv").stat().st_size > 16 * 2**20
 
 
 def test_load_rejects_unknown_schema_version(tmp_path):

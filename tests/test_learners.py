@@ -879,6 +879,28 @@ def test_pair_divergence_names_the_member_and_updates_neither():
     assert all(np.array_equal(b, f.flat_params()) for b, f in zip(before, (f1, f2)))
 
 
+@pytest.mark.parametrize(
+    "loss, message",
+    [([0.5, np.nan], "member 2 of 2: batch loss nan"),
+     ([np.inf, 0.5, 0.5], "member 1 of 3: batch loss inf"),
+     ([0.5, -np.inf], "member 2 of 2: batch loss -inf"),
+     ([0.5, 2e6, np.nan], "member 2 of 3: batch loss 2000000.0"),
+     (np.float64(np.nan), "batch loss nan"),
+     (np.float64(3e6), "batch loss 3000000.0")],
+)
+def test_check_loss_names_the_first_member_that_fails(loss, message):
+    with pytest.raises(DivergenceError) as excinfo:
+        learners._check_loss(np.asarray(loss) if isinstance(loss, list) else loss)
+    assert str(excinfo.value) == f"{message} is not finite or exceeds limit"
+
+
+@pytest.mark.parametrize(
+    "loss", [[0.0, DIVERGENCE_LIMIT], [-0.0, 1.5], np.float64(DIVERGENCE_LIMIT)]
+)
+def test_check_loss_passes_finite_losses_up_to_the_limit(loss):
+    learners._check_loss(np.asarray(loss) if isinstance(loss, list) else loss)
+
+
 def plain_train(learner, X, y):
     """The lone SGD loop: a fresh permutation per pass from
     default_rng(seed + 1), cut into batch_size slices."""

@@ -369,6 +369,33 @@ def test_result_rejects_overlapping_ids():
         )
 
 
+@pytest.mark.parametrize(
+    "selected, candidate, removed",
+    [([1, 2], [3, 4], [2]), ([5], [1], [1]), ([7, 8], [], [7])],
+    ids=["selected-removed", "candidate-removed", "selected-removed-no-candidate"],
+)
+def test_result_rejects_an_id_in_two_lists(selected, candidate, removed):
+    message = "^selected, candidate, and removed ids must be disjoint$"
+    with pytest.raises(ValueError, match=message):
+        SelectionResult(selected=np.array(selected), candidate=np.array(candidate),
+                        removed=np.array(removed, dtype=np.int64), epsilon_hat=0.1, history=())
+
+
+def test_result_accepts_an_id_repeated_within_one_list():
+    # only ids shared between lists make them overlap
+    result = SelectionResult(selected=np.array([2, 1, 2]), candidate=np.array([3, 3]),
+                             removed=np.array([4]), epsilon_hat=0.1, history=())
+    assert result.to_json_dict()["selected"] == [2, 1, 2]
+
+
+def test_result_json_lists_python_ints_in_stored_order():
+    result = SelectionResult(selected=np.array([9, 2**62, 0]), candidate=np.array([5]),
+                             removed=np.empty(0, dtype=np.int64), epsilon_hat=0.0, history=())
+    payload = result.to_json_dict()
+    assert payload["selected"] == [9, 2**62, 0] and payload["removed"] == []
+    assert all(type(i) is int for key in ("selected", "candidate") for i in payload[key])
+
+
 def test_result_rejects_out_of_range_estimate():
     with pytest.raises(ValueError, match="epsilon_hat"):
         SelectionResult(
