@@ -627,16 +627,18 @@ def _probabilities(params, hidden, X):
     return e
 
 
-def _check_loss(loss, who: str = "") -> None:
-    """Reject a non-finite or runaway batch loss. A stacked loss is checked
-    in one pass, and only a failing one is checked member by member, to
-    name the member."""
-    if loss.ndim:
-        if not all([-math.inf < value <= DIVERGENCE_LIMIT for value in loss.tolist()]):
-            for i, value in enumerate(loss):
-                _check_loss(value, f"member {i + 1} of {len(loss)}: ")
-    elif not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-        raise DivergenceError(f"{who}batch loss {loss} is not finite or exceeds limit")
+def _check_loss(loss) -> None:
+    """Reject a non-finite or runaway batch loss; for a stacked loss, name
+    the first member that fails."""
+    if not loss.ndim:
+        if not -math.inf < loss <= DIVERGENCE_LIMIT:
+            raise DivergenceError(f"batch loss {loss} is not finite or exceeds limit")
+        return
+    for i, value in enumerate(loss.tolist()):
+        if not -math.inf < value <= DIVERGENCE_LIMIT:
+            raise DivergenceError(
+                f"member {i + 1} of {len(loss)}: batch loss {value} is not finite or exceeds limit"
+            )
 
 
 class SoftmaxLearner(Learner):

@@ -191,7 +191,7 @@ def test_runtime_error_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_corrupting_truthless_data_exits_1(tmp_path):
+def test_corrupting_truthless_data_exits_1(tmp_path, capsys):
     rng = np.random.default_rng(0)
     D = LabeledDataset(
         features=rng.standard_normal((10, 2)),
@@ -203,6 +203,8 @@ def test_corrupting_truthless_data_exits_1(tmp_path):
     code = run("corrupt", "--in", tmp_path / "truthless", "--noise", "symmetric",
                "--ratio", 0.2, "--out", tmp_path / "o")
     assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: corruption needs true labels"]
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
