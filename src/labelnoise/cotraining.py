@@ -123,6 +123,10 @@ class _CyclingSampler:
         self._pos = 0
 
     def take(self, count: int) -> np.ndarray:
+        if self._pos + count <= self.n:
+            # no wrap: a view of the order, which a wrap replaces, never rewrites
+            self._pos += count
+            return self._order[self._pos - count : self._pos]
         out = np.empty(count, dtype=np.int64)
         filled = 0
         while filled < count:
@@ -193,23 +197,25 @@ def cotrain(
         c_used = 0
         for b in range(n_batches):
             s_rows = s_stream.take(min(base, S.n - b * base) if b == n_batches - 1 else base)
-            bx = S.features[s_rows]
+            # take(..., axis=0) copies the rows that fancy indexing would, in a
+            # third of its time at desk scale
+            bx = S.features.take(s_rows, axis=0)
             by = S.observed_labels[s_rows]
             c_rows = None
             if not warm and c_stream is not None and b_c > 0:
                 c_rows = c_stream.take(b_c)
-                bx = np.vstack([bx, C.features[c_rows]])
+                bx = np.concatenate([bx, C.features.take(c_rows, axis=0)])
                 by = np.concatenate([by, C.observed_labels[c_rows]])
                 c_used += b_c
             k = keep_count(e, len(by), cfg.eps_s)
-            keeps = np.argsort(pair.losses(bx, by), axis=1, kind="stable")[:, :k]
+            keeps = pair.losses(bx, by).argsort(axis=1, kind="stable")[:, :k]
             if on_batch is not None:
                 bids = S.ids[s_rows]
                 if c_rows is not None:
                     bids = np.concatenate([bids, C.ids[c_rows]])
                 on_batch(e, b, bids, bids[keeps[0]], bids[keeps[1]])
             swapped = keeps[::-1]  # f1 steps on f2's keeps, f2 on f1's
-            pair.sgd_step(bx[swapped], by[swapped], lr)
+            pair.sgd_step(bx.take(swapped, axis=0), by[swapped], lr)
         acc_f1, acc_f2 = _clean_accuracies(pair, clean_test)
         records.append(
             EpochRecord(

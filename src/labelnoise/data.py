@@ -365,7 +365,11 @@ def save(D: LabeledDataset, path: str | Path) -> None:
     block by block, by numpy arithmetic where every cell of a row is in
     range and Python's % elsewhere (`_formatted_rows`). Then write the
     same rows to data.npy, and the sha256 of both files to the manifest,
-    which `load` checks before it trusts data.npy."""
+    which `load` checks before it trusts data.npy. A dataset without
+    feature columns is refused before anything is written, as load would
+    refuse it."""
+    if D.d < 1:
+        raise ValueError(f"cannot save a dataset of d = {D.d} feature columns; load needs d >= 1")
     labels = (D.observed_labels,) + ((D.true_labels,) if D.true_labels is not None else ())
     _write(D, Path(path), _formatted_rows(D, labels))
 

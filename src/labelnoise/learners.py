@@ -99,7 +99,7 @@ class Learner:
         a paired learner's losses carry the member axis first."""
         probs = self.predict_proba(features, true_labels)
         picked = probs[..., np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
-        return -np.log(np.clip(picked, LOSS_CLAMP, None))
+        return -np.log(np.maximum(picked, LOSS_CLAMP))
 
 
 # --------------------------------------------------------------------------
@@ -612,8 +612,20 @@ def _forward(params, hidden, X):
     return act, logits
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _float_rows(features) -> np.ndarray:
+    """features as a float64 ndarray of at least two dims. One that is so
+    already comes back as it is, without the np.asarray and np.atleast_2d
+    calls that would return it unchanged on every SGD step."""
+    if type(features) is np.ndarray and features.dtype is _FLOAT64 and features.ndim >= 2:
+        return features
+    return np.atleast_2d(np.asarray(features, dtype=np.float64))
+
+
 def _feature_matrix(features, d: int) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    X = _float_rows(features)
     if X.shape[1] != d:
         raise ValueError(f"expected {d} features, got {X.shape[1]}")
     return X
@@ -660,7 +672,9 @@ class SoftmaxLearner(Learner):
         self.d = d
         self.cfg = cfg
         self.hidden = hidden
-        self._onehot = np.eye(c)
+        # label shape -> 0, c, 2c, ...: where each row's class 0 lies in the
+        # flat (..., c) logits; kept per learner, so none outlives it
+        self._label_offsets: dict[tuple[int, ...], np.ndarray] = {}
         shapes = _param_shapes(c, d, hidden)
         self._bind(np.empty(sum(math.prod(s) for s in shapes.values())))
         rng = np.random.default_rng(cfg.seed)
@@ -715,8 +729,8 @@ class SoftmaxLearner(Learner):
     def _loss_and_grad(self, X, y, grads: dict[str, np.ndarray]):
         """Mean cross-entropy per batch; its analytic gradient is written
         into the arrays of grads. Labels must lie in [0, c), as a
-        LabeledDataset's do."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        LabeledDataset's do: one outside picks another row's entry."""
+        X = _float_rows(X)
         y = np.asarray(y, dtype=np.int64)
         act, logits = _forward(self.params, self.hidden, X)
         if y.shape != logits.shape[:-1]:
@@ -728,14 +742,18 @@ class SoftmaxLearner(Learner):
         log_probs = logits  # shifted by the row maximum, then normalised, in place
         log_probs -= np.maximum.reduce(log_probs, axis=-1, keepdims=True)
         log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=-1, keepdims=True))
-        # each row's log-probability of its label, by position in the flat array
-        picked = log_probs.take(np.arange(0, y.size * c, c).reshape(y.shape) + y)
-        # sum / n is what ndarray.mean computes, without its Python-level overhead
-        loss = -np.add.reduce(picked, axis=-1) / n
+        # each row's label, by position in the flat array
+        offsets = self._label_offsets.get(y.shape)
+        if offsets is None:
+            offsets = self._label_offsets[y.shape] = np.arange(0, y.size * c, c).reshape(y.shape)
+        at = offsets + y
+        # sum / -n is -(sum / n), what -ndarray.mean computes, in one call
+        loss = np.add.reduce(log_probs.take(at), axis=-1) / -n
 
         dlogits = np.exp(log_probs, out=log_probs)
-        # subtracting one-hot rows is exact off the label, as x - 0.0 == x
-        dlogits -= self._onehot.take(y, axis=0)
+        # less one at each label; _forward's logits are a fresh C-ordered
+        # array, so ravel() is a view of them
+        dlogits.ravel()[at] -= 1.0
         dlogits /= n
         if self.hidden is None:
             np.matmul(X.swapaxes(-1, -2), dlogits, out=grads["w"])
@@ -759,7 +777,9 @@ class SoftmaxLearner(Learner):
     def sgd_step(self, X: np.ndarray, y: np.ndarray, lr: float) -> float | np.ndarray:
         loss = self._loss_and_grad(X, y, self._grads)
         _check_loss(loss)
-        self._flat -= lr * self._grad
+        # the gradient buffer is rewritten by the next step, so it is scaled in place
+        self._grad *= lr
+        self._flat -= self._grad
         return loss
 
     def train(self, D: LabeledDataset) -> "SoftmaxLearner":
@@ -796,19 +816,24 @@ def train_stacked(learners: list[SoftmaxLearner], features, labels, rows) -> Non
     # a lone learner steps itself on 2-D slices; no stack is built
     stacked = SoftmaxLearner.stack(*learners) if m > 1 else learners[0]
     Xs, ys = (X, y) if m > 1 else (X[0], y[0])
+    # every pass refills X and y in place, so one list of (learner, batch
+    # views) serves them all
+    batches = []
+    for start in range(0, n_max, size):
+        ends = [min(n, start + size) for n in sizes]
+        if len(set(ends)) == 1:
+            batches.append((stacked, Xs[..., start : ends[0], :], ys[..., start : ends[0]]))
+            continue
+        for i, (f, end) in enumerate(zip(learners, ends)):
+            if start < end:
+                batches.append((f, X[i, start:end], y[i, start:end]))
     rngs = [np.random.default_rng(f.cfg.seed + 1) for f in learners]
     for _ in range(cfg.epochs):
         for i, (r, rng) in enumerate(zip(rows, rngs)):
             picked = r[rng.permutation(len(r))]
             X[i, : len(r)], y[i, : len(r)] = features[picked], labels[picked]
-        for start in range(0, n_max, size):
-            ends = [min(n, start + size) for n in sizes]
-            if len(set(ends)) == 1:
-                stacked.sgd_step(Xs[..., start : ends[0], :], ys[..., start : ends[0]], lr)
-                continue
-            for i, (f, end) in enumerate(zip(learners, ends)):
-                if start < end:
-                    f.sgd_step(X[i, start:end], y[i, start:end], lr)
+        for f, Xb, yb in batches:
+            f.sgd_step(Xb, yb, lr)
 
 
 # --------------------------------------------------------------------------

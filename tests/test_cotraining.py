@@ -21,6 +21,7 @@ from labelnoise.cotraining import (
 from labelnoise.data import BlobSpec, corrupt_dataset, make_blobs, split_per_class
 from labelnoise.learners import (
     DivergenceError,
+    Learner,
     SoftmaxLearner,
     TrainConfig,
     knn_factory,
@@ -409,6 +410,31 @@ def test_exchange_uses_the_other_learners_keeps(monkeypatch):
     assert any(
         not np.array_equal(np.sort(k1), np.sort(k2)) for e, b, ids, k1, k2 in hooks if e >= 1
     )
+
+
+def test_cotrain_ranks_and_steps_once_per_batch(monkeypatch):
+    # the calls perfbench wraps for its traced learners.forward and
+    # learners.sgd_step counts: per batch one losses call (one forward pass
+    # for both learners) and one stacked step, plus one forward per epoch to
+    # score the test set
+    calls = {"losses": 0, "predict_proba": 0, "sgd_step": 0}
+    for owner, name in ((Learner, "losses"), (SoftmaxLearner, "predict_proba"),
+                        (SoftmaxLearner, "sgd_step")):
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    S = corrupt_dataset(blob_set(2), NoiseSpec(kind="symmetric", ratio=0.2, seed=5)).subset(
+        range(37)
+    )
+    C = blob_set(9).subset(range(11))
+    cfg = cotrain_cfg(warmup_epochs=1, total_epochs=5, base_batch=8, eps_s=0.4, seed=3)
+    batches = []
+    cotrain(S, C, cfg, linear_factory(), clean_test=blob_set(4),
+            on_batch=lambda e, b, ids, k1, k2: batches.append((e, b)))
+    assert batches == [(e, b) for e in range(5) for b in range(5)]  # 37 rows in batches of 8
+    assert calls == {"losses": 25, "predict_proba": 25 + 5, "sgd_step": 25}
 
 
 def test_empty_selected_set_rejected():

@@ -653,7 +653,8 @@ def _assert_save_writes_what_write_csv_writes(D, tmp):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), d=st.integers(min_value=0, max_value=4), with_truth=st.booleans())
+# d = 0 is refused by save (test_save_formats_empty_shapes)
+@given(data=st.data(), d=st.integers(min_value=1, max_value=4), with_truth=st.booleans())
 def test_save_writes_what_write_csv_writes(data, d, with_truth, tmp_path_factory):
     # in-range draws reach the vectorised cells; the rest mixes in every
     # float64 bit pattern and int64 id, which take Python's % row by row
@@ -783,7 +784,14 @@ def test_save_formats_the_values_where_rounding_decides(tmp_path, values):
 def test_save_formats_empty_shapes(tmp_path, n, d):
     D = _in_range_dataset(n)
     D = replace(D, features=D.features[:, :d])
-    _assert_save_writes_what_write_csv_writes(D, tmp_path)
+    if d:
+        _assert_save_writes_what_write_csv_writes(D, tmp_path)
+        assert load(tmp_path / "ds").n == n
+        return
+    # load refuses d = 0, so save refuses it first and writes nothing
+    with pytest.raises(ValueError, match=r"d = 0 feature columns; load needs d >= 1"):
+        save(D, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
 
 
 def _traced_peak(write, *args):

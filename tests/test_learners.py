@@ -1048,6 +1048,133 @@ def test_train_is_bit_identical_to_the_reference(hidden, tiny_blobs):
 
 
 # ---------------------------------------------------------------------------
+# inputs that are not float64 and int64 arrays
+#
+# A float64 ndarray of two or more dims reaches the math as it is; anything
+# else is converted first. The spy on _forward fails the test if an input
+# reaches the matmuls unconverted, which float32 or int features would do
+# without changing a bit, as matmul widens them exactly.
+
+
+def _feature_variants(rng, shape, d):
+    """(name, features as passed, the float64 array they stand for)."""
+    values = rng.standard_normal(shape + (d,))
+    wide = np.zeros(shape + (d + 3,))
+    wide[..., 1 : d + 1] = values
+    ints = rng.integers(-4, 5, shape + (d,))
+    return [
+        ("list", values.tolist(), values),
+        ("float32", values.astype(np.float32), values.astype(np.float32).astype(np.float64)),
+        ("int", ints, ints.astype(np.float64)),
+        ("column-sliced", wide[..., 1 : d + 1], values),
+    ]
+
+
+def _label_variants(rng, shape, c):
+    """(name, labels as passed, the int64 array they stand for)."""
+    labels = rng.integers(0, c, shape)
+    return [("list", labels.tolist(), labels), ("int32", labels.astype(np.int32), labels)]
+
+
+@pytest.fixture
+def forward_inputs(monkeypatch):
+    """Every X that reaches _forward, in call order."""
+    seen = []
+    original = learners._forward
+
+    def spy(params, hidden, X):
+        seen.append(X)
+        return original(params, hidden, X)
+
+    monkeypatch.setattr(learners, "_forward", spy)
+    return seen
+
+
+@pytest.mark.parametrize("members", [1, 2], ids=["lone", "stacked"])
+@pytest.mark.parametrize("hidden", [None, 6])
+def test_converted_inputs_give_the_bits_of_float64_and_int64_arrays(
+    members, hidden, forward_inputs
+):
+    c, d, k = 4, 3, 7
+    rng = np.random.default_rng(17 * members + (hidden or 0))
+    batch = (members, k) if members > 1 else (k,)
+
+    def fresh():
+        lone = [SoftmaxLearner(c, d, softmax_cfg(seed=s), hidden) for s in range(members)]
+        return SoftmaxLearner.stack(*lone) if members > 1 else lone[0]
+
+    X, y = rng.standard_normal(batch + (d,)), rng.integers(0, c, batch)
+    probe, probe_labels = rng.standard_normal((5, d)), rng.integers(0, c, 5)
+    cases = [(f"X {name}", given, exact, y, y)
+             for name, given, exact in _feature_variants(rng, batch, d)]
+    cases += [(f"y {name}", X, X, given, exact)
+              for name, given, exact in _label_variants(rng, batch, c)]
+    for name, X_given, X_exact, y_given, y_exact in cases:
+        converted, exact = fresh(), fresh()
+        forward_inputs.clear()
+        loss = converted.sgd_step(X_given, y_given, 0.3)
+        assert all(type(a) is np.ndarray and a.dtype == np.float64 for a in forward_inputs), name
+        want = exact.sgd_step(X_exact, y_exact, 0.3)
+        assert np.asarray(loss).tobytes() == np.asarray(want).tobytes(), name
+        assert converted.flat_params().tobytes() == exact.flat_params().tobytes(), name
+    for name, given, exact in _feature_variants(rng, (5,), d):
+        forward_inputs.clear()
+        f = fresh()
+        got = [f.predict_proba(given), f.losses(given, probe_labels)]
+        assert all(type(a) is np.ndarray and a.dtype == np.float64 for a in forward_inputs), name
+        want = [f.predict_proba(exact), f.losses(exact, probe_labels)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], name
+    for name, given, exact in _label_variants(rng, (5,), c):
+        f = fresh()
+        assert f.losses(probe, given).tobytes() == f.losses(probe, exact).tobytes(), name
+
+
+@pytest.mark.parametrize("members", [1, 2], ids=["lone", "stacked"])
+def test_losses_refuse_labels_outside_the_classes(members):
+    lone = [SoftmaxLearner(3, 2, softmax_cfg(seed=s)) for s in range(members)]
+    f = SoftmaxLearner.stack(*lone) if members > 1 else lone[0]
+    for bad in (3, -4):
+        with pytest.raises(IndexError):
+            f.losses(np.zeros((2, 2)), np.array([0, bad]))
+
+
+# ---------------------------------------------------------------------------
+# how many calls a training run makes: perfbench's traced learners.sgd_step
+# and learners.forward counts wrap these entry points
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """(learner, label shape) of every sgd_step call, in order."""
+    calls = []
+    original = SoftmaxLearner.sgd_step
+
+    def counted(self, X, y, lr):
+        calls.append((self, np.shape(y)))
+        return original(self, X, y, lr)
+
+    monkeypatch.setattr(SoftmaxLearner, "sgd_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sizes, batch, per_epoch", [
+    ((100,), 12, [(0, (12,))] * 8 + [(0, (4,))]),
+    ((64, 64), 16, [("stack", (2, 16))] * 4),
+    # only the longer member has a fifth batch
+    ((65, 64), 16, [("stack", (2, 16))] * 4 + [(0, (1,))]),
+    # equal batch counts, but short last batches of different sizes
+    ((47, 48), 16, [("stack", (2, 16))] * 2 + [(0, (15,)), (1, (16,))]),
+])
+def test_train_stacked_steps_once_per_batch(sizes, batch, per_epoch, step_calls):
+    D = make_blobs(BlobSpec(c=4, d=3, n_per_class=25, separation=6.0, spread=1.0, seed=7))
+    members = [SoftmaxLearner(4, 3, softmax_cfg(epochs=3, batch_size=batch, seed=s))
+               for s in range(len(sizes))]
+    train_stacked(members, D.features, D.observed_labels, [np.arange(n) for n in sizes])
+    who = [members.index(f) if f in members else "stack" for f, _ in step_calls]
+    assert list(zip(who, [shape for _, shape in step_calls])) == per_epoch * 3
+
+
+# ---------------------------------------------------------------------------
 # factories
 
 
